@@ -27,31 +27,14 @@ from .laurent import (
     reciprocal,
 )
 from .presentation import FinitePresentation
+from .sl2z import det, mat_pow
 from .torsion import specialize_jacobian, torsion_polynomial
 
 CANDIDATE_SEARCH_CAP = 10**7
 
-Matrix = list[list[Fraction]]
 
-
-def _det_rational(rows) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+def _has_det_one(rows) -> bool:
+    return determinant([[LaurentPoly.constant(x) for x in row] for row in rows]) == LaurentPoly.one()
 
 
 def _as_matrix(rows, beta: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -79,9 +62,9 @@ class HomologyBundleData:
         object.__setattr__(self, "beta", int(beta))
         object.__setattr__(self, "x", _as_matrix(x, beta))
         object.__setattr__(self, "y", _as_matrix(y, beta))
-        if _det_rational(self.x) != 1:
+        if not _has_det_one(self.x):
             raise ValueError("x must have determinant 1")
-        if _det_rational(self.y) != 1:
+        if not _has_det_one(self.y):
             raise ValueError("y must have determinant 1")
         if any(v.denominator != 1 for row in self.y for v in row):
             raise ValueError("y must be integral")
@@ -95,7 +78,7 @@ class AlgebraicMonodromy:
 
     def __init__(self, matrix):
         m = _as_matrix(matrix, len(matrix))
-        if _det_rational(m) != 1:
+        if not _has_det_one(m):
             raise ValueError("monodromy must have determinant 1")
         object.__setattr__(self, "matrix", m)
 
@@ -136,6 +119,15 @@ def charpoly(phi) -> LaurentPoly:
     return p
 
 
+def _sl2z_matrix(a) -> list[list[int]]:
+    m = [[int(x) for x in row] for row in a]
+    if len(m) != 2 or any(len(r) != 2 for r in m):
+        raise ValueError("expected a 2x2 matrix")
+    if det(m) != 1:
+        raise ValueError("monodromy must have determinant 1")
+    return m
+
+
 def _power_word(gen: int, k: int) -> Word:
     return Word([(1 if k > 0 else -1) * (gen + 1)] * abs(k))
 
@@ -148,11 +140,7 @@ def mapping_torus_presentation(a) -> tuple[FinitePresentation, tuple[int, int, i
     The returned epimorphism sends only s to 1 (intersection with the fiber
     class).
     """
-    m = [[int(x) for x in row] for row in a]
-    if len(m) != 2 or any(len(r) != 2 for r in m):
-        raise ValueError("expected a 2x2 matrix")
-    if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
-        raise ValueError("monodromy must have determinant 1")
+    m = _sl2z_matrix(a)
     ga, gb, gs = Word([1]), Word([2]), Word([3])
     commutator = ga * gb * ~ga * ~gb
     phi_a = _power_word(0, m[0][0]) * _power_word(1, m[1][0])
@@ -186,24 +174,6 @@ def verify_monodromy_torsion(a) -> MonodromyTorsionReport:
     ok = normalize(delta) == normalize(cp)
     mat = tuple(tuple(int(x) for x in row) for row in a)
     return MonodromyTorsionReport(mat, delta, cp, ok)
-
-
-def _mat_int_mul(x, y):
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
-        for i in range(len(x))
-    ]
-
-
-def _mat_int_pow(a, n: int):
-    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
-    base = [list(r) for r in a]
-    while n:
-        if n & 1:
-            out = _mat_int_mul(out, base)
-        base = _mat_int_mul(base, base)
-        n >>= 1
-    return out
 
 
 def _resultant_power(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -250,11 +220,9 @@ def power_cover(a, n: int, tol: float = 1e-10) -> PowerCoverReport:
     numerically within ``tol``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = [[int(x) for x in row] for row in a]
-    if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
-        raise ValueError("monodromy must have determinant 1")
-    base = charpoly([[Fraction(x) for x in row] for row in m])
-    power = charpoly([[Fraction(x) for x in row] for row in _mat_int_pow(m, n)])
+    m = _sl2z_matrix(a)
+    base = charpoly(m)
+    power = charpoly(mat_pow(m, n))
     composed = _resultant_power(base, n)
     exact_ok = normalize(composed) == normalize(power)
     powered = sorted(

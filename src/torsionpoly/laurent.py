@@ -29,6 +29,10 @@ class RootFindingError(RuntimeError):
     """Raised when the simultaneous iteration fails to certify all roots."""
 
 
+class InvariantViolation(AssertionError):
+    """A proven invariant failed (a bug, not bad input); raised even under -O."""
+
+
 class LaurentPoly:
     """A Laurent polynomial with exact rational coefficients.
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .laurent import InvariantViolation
+
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 R_MAT: Mat2 = ((1, 1), (0, 1))
@@ -134,7 +136,8 @@ def _positive_words_by_trace(tau_max: int) -> dict[int, set[RLWord]]:
                     break
                 grown = blocks + ((a, b),)
                 word = canonicalize(RLWord(grown, 1))
-                assert word.weight() <= tr - 2
+                if word.weight() > tr - 2:
+                    raise InvariantViolation("positive word exceeds the trace weight bound")
                 buckets.setdefault(tr, set()).add(word)
                 if tr < tau_max:
                     block = mat_mul(mat_pow(R_MAT, a), mat_pow(L_MAT, b))
@@ -150,7 +153,7 @@ def classes_with_trace(tau: int) -> list[RLWord]:
     """All hyperbolic conjugacy classes of a given trace, as canonical words.
 
     Complete by the weight bound: a positive word of trace tau has total
-    block weight at most tau - 2 (asserted on every hit).
+    block weight at most tau - 2 (checked on every hit).
     """
     if abs(tau) <= 2:
         raise ValueError(f"trace {tau} is not hyperbolic")
@@ -205,7 +208,8 @@ def conjugacy_oracle(a: Mat2, b: Mat2, bound: int) -> str:
         orbit = _bounded_orbit(start, bound)
         if target in orbit:
             g = orbit[target]
-            assert mat_mul(g, mat_mul(start, mat_inv(g))) == target
+            if mat_mul(g, mat_mul(start, mat_inv(g))) != target:
+                raise InvariantViolation("BFS conjugator does not conjugate")
             return SAME_CLASS
     return DISTINCT
 

@@ -2,11 +2,13 @@
 
 Pipeline: specialize the Fox Jacobian of a presentation through the ring
 map sending a word w to t^(psi(w)), take the GCD of the r-rowed minors
-(r = rank), and compare every nonzero root of the result against the
-annulus [1/c, c] for c = 1 + m! * k^m.  The GCD-of-minors route is
-cross-checked against the product of Smith invariant factors, and the
-annulus verdict prefers exact rational Cauchy-radius certificates over
-floating point.
+(r = rank, read off the Smith form as its number of invariant factors),
+and compare every nonzero root of the result against the annulus [1/c, c]
+for c = 1 + m! * k^m.  The specialization walks each relator once with a
+running psi-weight, so no group-ring derivative is ever built.  The
+GCD-of-minors route is cross-checked against the product of Smith
+invariant factors, and the annulus verdict prefers exact rational
+Cauchy-radius certificates over floating point.
 
 For presentations of 3-manifold groups the normalized GCD is the torsion
 polynomial of the corresponding infinite cyclic cover; for arbitrary
@@ -22,8 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freegroup import Word, fox_derivative
 from .laurent import (
+    InvariantViolation,
     LaurentPoly,
     RootFindingError,
     cauchy_root_radius,
@@ -31,7 +33,6 @@ from .laurent import (
     determinant,
     gcd,
     normalize,
-    rank,
     reciprocal,
     smith_normal_form,
 )
@@ -54,11 +55,6 @@ VERDICT_UNKNOWN = "unknown"
 
 class InvalidEpimorphism(ValueError):
     pass
-
-
-def psi_weight(psi, w: Word) -> int:
-    """Weighted exponent sum of a word under a map to Z."""
-    return sum((1 if a > 0 else -1) * psi[abs(a) - 1] for a in w)
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,11 @@ class SpecializedJacobian:
 def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
     """Apply w -> t^(psi(w)) entrywise to the Fox Jacobian of ``pres``.
 
+    One left-to-right pass per relator with a running psi-weight e: the
+    letter x_j contributes +t^e to column j before e grows by psi_j, and
+    X_j contributes -t^e after e shrinks by psi_j.  These are exactly the
+    images of the Fox derivative terms +prefix and -prefix * X_j.
+
     Raises :class:`InvalidEpimorphism` unless psi kills every relator and
     is surjective.
     """
@@ -97,21 +98,20 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
     k = complexity_k(pres)
     rows = []
     for r in pres.relators:
-        row = []
-        for j in range(pres.num_generators):
-            deriv = fox_derivative(r, j)
-            coeffs: dict[int, Fraction] = {}
-            for w, c in deriv.terms.items():
-                e = psi_weight(psi, w)
-                s = coeffs.get(e, Fraction(0)) + c
-                if s:
-                    coeffs[e] = s
-                else:
-                    coeffs.pop(e, None)
-            row.append(LaurentPoly(coeffs))
-        rows.append(tuple(row))
+        cols: list[dict[int, int]] = [{} for _ in range(pres.num_generators)]
+        e = 0
+        for a in r:
+            j = abs(a) - 1
+            if a > 0:
+                cols[j][e] = cols[j].get(e, 0) + 1
+                e += psi[j]
+            else:
+                e -= psi[j]
+                cols[j][e] = cols[j].get(e, 0) - 1
+        rows.append(tuple(LaurentPoly(c) for c in cols))
     jac = SpecializedJacobian(tuple(rows), psi, k, pres.num_generators)
-    assert jac.total_norm() <= k, "specialization increased the Jacobian norm"
+    if jac.total_norm() > k:
+        raise InvariantViolation("specialization increased the Jacobian norm")
     return jac
 
 
@@ -123,7 +123,8 @@ def _minor_gcd(jac: SpecializedJacobian, r: int) -> LaurentPoly:
     for ri in itertools.combinations(rows, r):
         for ci in itertools.combinations(cols, r):
             d = determinant([[jac.entries[i][j] for j in ci] for i in ri])
-            assert d.norm_l1() <= coeff_bound, "minor exceeds the m!k^m coefficient bound"
+            if d.norm_l1() > coeff_bound:
+                raise InvariantViolation("minor exceeds the m!k^m coefficient bound")
             acc = gcd(acc, d)
     return acc
 
@@ -131,25 +132,26 @@ def _minor_gcd(jac: SpecializedJacobian, r: int) -> LaurentPoly:
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     """Normalized GCD of the r-rowed minors of the specialized Jacobian.
 
-    Returns 1 when the rank r is zero.  When the number of r-minors is
-    within the enumeration cap, the result is cross-checked against the
-    product of the r Smith invariant factors; past the cap the (provably
-    associate) invariant-factor route is used alone.
+    The rank r is the number of Smith invariant factors; the result is 1
+    when r is zero.  When the number of r-minors is within the enumeration
+    cap, the result is cross-checked against the product of the r
+    invariant factors; past the cap the (provably associate)
+    invariant-factor route is used alone.
     """
-    matrix = [list(row) for row in jac.entries]
-    r = rank(matrix)
+    factors, _ = smith_normal_form([list(row) for row in jac.entries])
+    r = len(factors)
     if r == 0:
         return LaurentPoly.one()
-    factors, _ = smith_normal_form(matrix)
     product = LaurentPoly.one()
-    for f in factors[:r]:
+    for f in factors:
         product = product * f
     via_snf = normalize(product)
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
     if n_minors > MINOR_ENUMERATION_CAP:
         return via_snf
     via_minors = _minor_gcd(jac, r)
-    assert via_minors == via_snf, "minor-GCD and Smith routes disagree"
+    if via_minors != via_snf:
+        raise InvariantViolation("minor-GCD and Smith routes disagree")
     return via_minors
 
 
@@ -219,33 +221,23 @@ def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
     with roots within 10*tol of a boundary reported as
     ``boundary-indeterminate`` rather than pass/fail.  With
     ``certify_only`` no floating point runs and the verdict is pass,
-    vacuous, or unknown.
+    vacuous, or unknown.  A root-finder failure does not raise: the report
+    falls back to the exact certificates and records the failure message.
     """
     jac = specialize_jacobian(pres, psi)
     delta = torsion_polynomial(jac)
-    return _certify(delta, jac.psi, root_bound_c(pres), jac.complexity,
-                    tol, certify_only, seed)
+    c = root_bound_c(pres)
+    try:
+        return _certify(delta, jac.psi, c, jac.complexity, tol, certify_only, seed)
+    except RootFindingError as exc:
+        return dataclasses.replace(
+            _certify(delta, jac.psi, c, jac.complexity, tol, True, seed), failure=str(exc)
+        )
 
 
 def scan(pres: FinitePresentation, bound: int, tol: float = 1e-10,
          certify_only: bool = False, seed: int = 0) -> list[AnnulusReport]:
-    """One annulus report per enumerated map to Z with sup-norm <= bound.
-
-    A single constant c = 1 + m! * k^m is shared by all reports.  A
-    root-finder failure for one map does not abort the scan: that report
-    falls back to the exact certificates and records the failure message.
-    """
-    c = root_bound_c(pres)
-    k = complexity_k(pres)
-    out = []
-    for psi in enumerate_epimorphisms(pres, bound):
-        jac = specialize_jacobian(pres, psi)
-        delta = torsion_polynomial(jac)
-        try:
-            rep = _certify(delta, psi, c, k, tol, certify_only, seed)
-        except RootFindingError as exc:
-            rep = dataclasses.replace(
-                _certify(delta, psi, c, k, tol, True, seed), failure=str(exc)
-            )
-        out.append(rep)
-    return out
+    """One :func:`annulus_certify` report per enumerated map to Z with
+    sup-norm <= bound; all of them share the constant c = 1 + m! * k^m."""
+    return [annulus_certify(pres, psi, tol, certify_only, seed)
+            for psi in enumerate_epimorphisms(pres, bound)]

@@ -136,6 +136,10 @@ def test_power_cover_validates_input():
         power_cover([[2, 0], [0, 1]], 2)
     with pytest.raises(ValueError):
         power_cover([[2, 1], [1, 1]], 0)
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        power_cover([[1, 0, 0], [0, 1, 0], [0, 0, 5]], 2)
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        power_cover([[1, 0], [0]], 2)
 
 
 def _monicize(p):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from helpers import brute_force_epimorphisms, random_presentation
-from torsionpoly.freegroup import Word, fox_derivative
+from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
+from torsionpoly.freegroup import Word, fox_derivative, norm_l1
 from torsionpoly.presentation import (
     FinitePresentation,
     ParseError,
@@ -148,6 +149,17 @@ def test_complexity_examples():
     assert complexity_k(parse_presentation(TREFOIL)) == 6
     assert complexity_k(parse_presentation("gens: x\n")) == 0
     assert complexity_k(parse_presentation("gens: x\nrel: x^2\n")) == 2
+
+
+def test_complexity_matches_fox_norms():
+    rng = random.Random(22)
+    pres_list = [random_presentation(rng, max_len=rng.choice((6, 12, 30))) for _ in range(200)]
+    pres_list += [e.presentation() for e in THREE_MANIFOLD_CORPUS]
+    for p in pres_list:
+        total = sum(
+            norm_l1(fox_derivative(r, j)) for r in p.relators for j in range(p.num_generators)
+        )
+        assert complexity_k(p) == total
 
 
 def test_root_bound_examples():

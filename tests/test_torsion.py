@@ -1,12 +1,28 @@
 """Specialization, torsion polynomials, and annulus certification."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import torsionpoly
+import torsionpoly.torsion as torsion_mod
 from helpers import random_presentation
-from torsionpoly.laurent import LaurentPoly, determinant, gcd, normalize, reciprocal
+from torsionpoly.cli import main
+from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
+from torsionpoly.freegroup import fox_derivative
+from torsionpoly.laurent import (
+    LaurentPoly,
+    RootFindingError,
+    determinant,
+    gcd,
+    normalize,
+    reciprocal,
+)
 from torsionpoly.presentation import parse_presentation, enumerate_epimorphisms, root_bound_c
 from torsionpoly.torsion import (
     InvalidEpimorphism,
@@ -172,3 +188,112 @@ def test_scan_shares_one_constant():
     reports = scan(FREE2, 1)
     c = root_bound_c(FREE2)
     assert all(r.c == c for r in reports)
+
+
+# -- differential: one-pass specialization vs the group-ring Fox route -------
+
+
+def _specialize_via_fox(pres, psi):
+    """Reference: build each group-ring Fox derivative, then send every
+    term w to t^(psi(w)) and sum."""
+    rows = []
+    for r in pres.relators:
+        row = []
+        for j in range(pres.num_generators):
+            coeffs: dict[int, Fraction] = {}
+            for w, c in fox_derivative(r, j).terms.items():
+                e = sum((1 if a > 0 else -1) * psi[abs(a) - 1] for a in w)
+                coeffs[e] = coeffs.get(e, Fraction(0)) + c
+            row.append(LaurentPoly(coeffs))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _differential_cases():
+    rng = random.Random(21)
+    pres_list = [random_presentation(rng, max_len=rng.choice((6, 12, 30))) for _ in range(80)]
+    pres_list += [e.presentation() for e in THREE_MANIFOLD_CORPUS]
+    for pres in pres_list:
+        for psi in enumerate_epimorphisms(pres, 2):
+            yield pres, psi
+
+
+def test_specialization_matches_group_ring_oracle():
+    checked = 0
+    for pres, psi in _differential_cases():
+        assert specialize_jacobian(pres, psi).entries == _specialize_via_fox(pres, psi)
+        checked += 1
+    assert checked > 100
+
+
+# -- root-finder failure path ------------------------------------------------
+
+
+def _failing_roots(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootFindingError("simulated non-convergence")
+
+    monkeypatch.setattr(torsion_mod, "complex_roots", fail)
+
+
+def test_annulus_falls_back_on_root_failure(monkeypatch):
+    exact = annulus_certify(TREFOIL, (1, 1), certify_only=True)
+    _failing_roots(monkeypatch)
+    rep = annulus_certify(TREFOIL, (1, 1))
+    assert rep.verdict == exact.verdict == "pass"
+    assert rep.exact_certified and rep.roots == ()
+    assert rep.failure == "simulated non-convergence"
+
+
+def test_scan_reports_root_failure_per_map(monkeypatch):
+    exact = scan(TORUS, 1, certify_only=True)
+    _failing_roots(monkeypatch)
+    reports = scan(TORUS, 1)
+    assert len(reports) == len(exact) == 4
+    for rep, ref in zip(reports, exact):
+        assert (rep.psi, rep.verdict) == (ref.psi, ref.verdict)
+        assert rep.failure == "simulated non-convergence"
+
+
+def test_cli_torsion_and_scan_agree_on_root_failure(monkeypatch, tmp_path, capsys):
+    f = tmp_path / "trefoil.pres"
+    f.write_text("gens: x, y\nrel: x y x Y X Y\n")
+    _failing_roots(monkeypatch)
+    scan_code = main(["scan", "--pres", str(f), "--bound", "1", "--json"])
+    capsys.readouterr()
+    code = main(["torsion", "--pres", str(f), "--psi", "1,1", "--json"])
+    out = capsys.readouterr().out
+    assert code == scan_code == 0
+    assert '"failure": "simulated non-convergence"' in out
+
+
+# -- invariants survive python -O --------------------------------------------
+
+_WRONG_SMITH = """
+import sys
+import torsionpoly.torsion as T
+from torsionpoly.laurent import InvariantViolation, LaurentPoly
+from torsionpoly.presentation import parse_presentation
+
+real = T.smith_normal_form
+
+def wrong(rows):
+    factors, uv = real(rows)
+    return [factors[0] * (LaurentPoly.t() + LaurentPoly.constant(2))] + factors[1:], uv
+
+T.smith_normal_form = wrong
+jac = T.specialize_jacobian(parse_presentation("gens: x, y\\nrel: x y x Y X Y\\n"), (1, 1))
+try:
+    T.torsion_polynomial(jac)
+except InvariantViolation as exc:
+    print(f"optimize={sys.flags.optimize} InvariantViolation: {exc}")
+"""
+
+
+def test_invariant_violation_survives_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_SMITH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "optimize=1 InvariantViolation: minor-GCD and Smith routes disagree"
