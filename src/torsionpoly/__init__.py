@@ -15,7 +15,7 @@ corresponding infinite cyclic cover; for other inputs the pipeline is
 still well-defined but carries no such topological meaning.
 """
 
-from .freegroup import GroupRingElement, Word, concat, fox_derivative, invert, norm_l1, reduce
+from .freegroup import GroupRingElement, Word, fox_derivative, norm_l1
 from .laurent import LaurentPoly, cauchy_root_radius, complex_roots, determinant, gcd, normalize, rank, smith_normal_form
 from .presentation import (
     FinitePresentation,
@@ -53,18 +53,15 @@ __all__ = [
     "cauchy_root_radius",
     "complex_roots",
     "complexity_k",
-    "concat",
     "determinant",
     "enumerate_epimorphisms",
     "exponent_sum_matrix",
     "fox_derivative",
     "gcd",
-    "invert",
     "norm_l1",
     "normalize",
     "parse_presentation",
     "rank",
-    "reduce",
     "root_bound_c",
     "scan",
     "serialize_presentation",

@@ -28,7 +28,7 @@ from .laurent import (
 )
 from .presentation import FinitePresentation
 from .sl2z import det, mat_pow
-from .torsion import specialize_jacobian, torsion_polynomial
+from .torsion import VERDICT_FAIL, annulus_margin_verdict, specialize_jacobian, torsion_polynomial
 
 CANDIDATE_SEARCH_CAP = 10**7
 
@@ -268,8 +268,6 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
         volume *= 2 * top + 1
     if volume > CANDIDATE_SEARCH_CAP:
         raise ValueError(f"candidate search volume {volume} exceeds cap")
-    inv_c = 1 / c
-    margin = 10 * 1e-10
     found = set()
     for const in (1, -1):
         for nums in itertools.product(*ranges):
@@ -282,6 +280,6 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
                 found.add(p)
                 continue
             mods = [abs(z) for z, _ in complex_roots(p, 1e-10)]
-            if min(mods) >= float(inv_c) - margin and max(mods) <= float(c) + margin:
+            if annulus_margin_verdict(min(mods), max(mods), c, 1e-10) != VERDICT_FAIL:
                 found.add(p)
     return sorted(found, key=lambda p: tuple(p.dense()))

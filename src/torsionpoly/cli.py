@@ -23,7 +23,6 @@ from .presentation import (
 )
 from .sl2z import (
     canonicalize,
-    classes_with_trace,
     inverse_class,
     rl_to_matrix,
     sol_candidates,
@@ -217,11 +216,7 @@ def _census(args):
     bound = args.trace_bound
     if bound is None or bound <= 2:
         raise ValueError("--trace-bound must be an integer > 2")
-    census = []
-    for tau in range(3, bound + 1):
-        census.append((tau, classes_with_trace(tau)))
-        census.append((-tau, classes_with_trace(-tau)))
-    return None, bound, census
+    return None, bound, sol_candidates(bound)
 
 
 def cmd_sol_census(args) -> int:

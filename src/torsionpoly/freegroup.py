@@ -82,21 +82,6 @@ class Word:
 IDENTITY = Word()
 
 
-def reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence.  Idempotent."""
-    return Word(letters)
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Freely reduced product ``uv``."""
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    """The inverse word: reversed letters with flipped signs."""
-    return ~u
-
-
 class GroupRingElement:
     """A finite formal sum of words with nonzero ``Fraction`` coefficients.
 

@@ -219,6 +219,18 @@ class LaurentPoly:
 # -- normalization, gcd, root bounds ---------------------------------------
 
 
+def _content(coeffs) -> Fraction:
+    """The positive rational g with every coefficient / g an integer and
+    those integers coprime; 1 when there are no nonzero coefficients."""
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c.numerator * (lcm // c.denominator))
+    return Fraction(g, lcm) if g else Fraction(1)
+
+
 def normalize(p: LaurentPoly) -> LaurentPoly:
     """The canonical associate of ``p``.
 
@@ -228,17 +240,10 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
     cs = p.dense()
     if not cs:
         return LaurentPoly.zero()
-    denom_lcm = 1
-    for c in cs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in cs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return LaurentPoly.from_coeffs(ints)
+    g = _content(cs)
+    if cs[-1] < 0:
+        g = -g
+    return LaurentPoly.from_coeffs([c / g for c in cs])
 
 
 def _dense_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -266,14 +271,9 @@ def _dense_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fracti
 
 def _dense_abs(p: LaurentPoly) -> list[Fraction]:
     """Ascending coefficients from exponent 0; requires min_exp >= 0."""
-    if not p:
-        return []
-    if p.min_exp < 0:
+    if p and p.min_exp < 0:
         raise ValueError("polynomial division requires nonnegative exponents")
-    out = [Fraction(0)] * (p.max_exp + 1)
-    for e, c in p.coeffs.items():
-        out[e] = c
-    return out
+    return [Fraction(0)] * p.min_exp + p.dense() if p else []
 
 
 def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -370,9 +370,9 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     ctx = MPContext()
     ctx.dps = max(60, 2 * deg + 30)
     coeffs_mp = [ctx.mpf(c.numerator) / ctx.mpf(c.denominator) for c in monic]
-    approx = _aberth(ctx, coeffs_mp, deg, seed, display=p.display())
-    clusters = _cluster(approx, tol ** 0.5)
     norm1 = sum(abs(c) for c in coeffs_mp)
+    approx = _aberth(ctx, coeffs_mp, norm1, deg, seed, display=p.display())
+    clusters = _cluster(approx, tol ** 0.5)
     out = []
     for center, mult in clusters:
         val, _ = _horner_pair(ctx, coeffs_mp, center)
@@ -386,7 +386,7 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     return out
 
 
-def _aberth(ctx, coeffs_mp, deg, seed, display):
+def _aberth(ctx, coeffs_mp, norm1, deg, seed, display):
     rng = random.Random(seed)
     radius = ctx.mpf(1) + max(abs(c) for c in coeffs_mp)
     offset = rng.uniform(0.1, 0.4)
@@ -394,7 +394,6 @@ def _aberth(ctx, coeffs_mp, deg, seed, display):
         radius * ctx.expjpi(2 * (k + offset) / deg) * ctx.mpf("0.7")
         for k in range(deg)
     ]
-    norm1 = sum(abs(c) for c in coeffs_mp)
     # relative residual target: far tighter than any admissible tol, but
     # reachable in linearly many sweeps even at multiple roots
     target = ctx.mpf(10) ** (-(ctx.dps // 2))
@@ -489,7 +488,8 @@ def mat_mul(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list
 
 
 def _global_shift(rows):
-    """Smallest exponent over all nonzero entries (0 for an all-zero matrix)."""
+    """min(0, smallest exponent over all nonzero entries): the shift into
+    Q[t] that leaves entries already there, and so factors of t, alone."""
     lo = 0
     for row in rows:
         for e in row:
@@ -498,69 +498,91 @@ def _global_shift(rows):
     return lo
 
 
-def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _bareiss(rows, stop_at_missing_pivot: bool):
+    """Fraction-free Bareiss elimination; returns (pivots, row-swap sign, lo).
 
-    Negative exponents are cleared by a global t-power first; every division
-    performed during elimination is exact in Q[t].
+    Negative exponents are cleared by the global t-power t^-lo first; every
+    division performed during elimination is exact in Q[t].  A column with
+    no pivot is skipped, or ends the pass if ``stop_at_missing_pivot``.
     """
+    lo = _global_shift(rows)
+    m = [[e.shift(-lo) for e in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    sign = 1
+    prev = LaurentPoly.one()
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            if stop_at_missing_pivot:
+                break
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = exact_div(m[i][j] * m[r][c] - m[i][c] * m[r][j], prev)
+            m[i][c] = LaurentPoly.zero()
+        prev = m[r][c]
+        pivots.append(prev)
+        if len(pivots) == nrows:
+            break
+    return pivots, sign, lo
+
+
+def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Exact determinant: the last Bareiss pivot, or 0 at the first
+    column without a pivot."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
     if n == 0:
         return LaurentPoly.one()
-    lo = _global_shift(rows)
-    m = [[e.shift(-lo) for e in row] for row in rows]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = LaurentPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
+    pivots, sign, lo = _bareiss(rows, stop_at_missing_pivot=True)
+    if len(pivots) < n:
+        return LaurentPoly.zero()
+    det = pivots[-1] if sign > 0 else -pivots[-1]
     return det.shift(lo * n)
 
 
 def rank(rows: list[list[LaurentPoly]]) -> int:
-    """Rank over the fraction field Q(t), by exact fraction-free elimination."""
+    """Rank over the fraction field Q(t): the number of Bareiss pivots."""
     if not rows or not rows[0]:
         return 0
-    lo = _global_shift(rows)
-    m = [[e.shift(-lo) for e in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = LaurentPoly.one()
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = exact_div(m[i][j] * m[r][c] - m[i][c] * m[r][j], prev)
-            m[i][c] = LaurentPoly.zero()
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_bareiss(rows, stop_at_missing_pivot=False)[0])
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def _reduce_row(a, u, i, k, q):
+    """row_i -= q * row_k in ``a`` and ``u``; then divide row i of both by
+    the rational content of row i of ``a``, which tames fraction swell."""
+    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+    g = _content([c for e in a[i] for c in e.coeffs.values()])
+    if g != 1:
+        r = 1 / g
+        a[i] = [e.scale(r) for e in a[i]]
+        u[i] = [e.scale(r) for e in u[i]]
+
+
+def _clear_column(a, u, pos):
+    """Euclidean row steps below the pivot a[pos][pos], mirrored on ``u``;
+    True if a nonzero remainder (of smaller degree) became the pivot."""
+    for i in range(pos + 1, len(a)):
+        if a[i][pos]:
+            q, _ = divmod_poly(a[i][pos], a[pos][pos])
+            _reduce_row(a, u, i, pos, q)
+            if a[i][pos]:
+                a[pos], a[i] = a[i], a[pos]
+                u[pos], u[i] = u[i], u[pos]
+                return True
+    return False
 
 
 def smith_normal_form(
@@ -573,65 +595,18 @@ def smith_normal_form(
     entry associate to ``factors[i]`` (U, V unimodular over Q[t, t^-1]).
     The product of the first r factors is associate to the GCD of the
     r-rowed minors for every r up to the rank.
+
+    Column operations on A and V are carried out as row operations on
+    their transposes, so one reduction step serves both sides.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     u = mat_identity(nrows)
-    v = mat_identity(ncols)
     if nrows == 0 or ncols == 0:
-        return [], (u, v)
+        return [], (u, mat_identity(ncols))
+    vt = mat_identity(ncols)
     lo = _global_shift(rows)
     a = [[e.shift(-lo) for e in row] for row in rows]
-
-    def content_unit(entries):
-        # rational r with r * entries integer-primitive; tames fraction swell
-        coeffs = [c for e in entries for c in e.coeffs.values()]
-        if not coeffs:
-            return Fraction(1)
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        g = 0
-        for c in coeffs:
-            g = math.gcd(g, abs(c.numerator * (lcm // c.denominator)))
-        return Fraction(lcm, g)
-
-    def strip_row(i):
-        r = content_unit(a[i])
-        if r != 1:
-            a[i] = [e.scale(r) for e in a[i]]
-            u[i] = [e.scale(r) for e in u[i]]
-
-    def strip_col(j):
-        r = content_unit([a[i][j] for i in range(nrows)])
-        if r != 1:
-            for i in range(nrows):
-                a[i][j] = a[i][j].scale(r)
-            for i in range(ncols):
-                v[i][j] = v[i][j].scale(r)
-
-    def row_combine(i, k, q):
-        # row_i -= q * row_k
-        a[i] = [a[i][j] - q * a[k][j] for j in range(ncols)]
-        u[i] = [u[i][j] - q * u[k][j] for j in range(nrows)]
-        strip_row(i)
-
-    def col_combine(j, k, q):
-        for i in range(nrows):
-            a[i][j] = a[i][j] - q * a[i][k]
-        for i in range(ncols):
-            v[i][j] = v[i][j] - q * v[i][k]
-        strip_col(j)
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for i in range(nrows):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(ncols):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
 
     d = min(nrows, ncols)
     for pos in range(d):
@@ -643,29 +618,19 @@ def smith_normal_form(
                     best = (i, j)
         if best is None:
             break
-        swap_rows(pos, best[0])
-        swap_cols(pos, best[1])
+        i, j = best
+        a[pos], a[i] = a[i], a[pos]
+        u[pos], u[i] = u[i], u[pos]
+        at = _transpose(a)
+        at[pos], at[j] = at[j], at[pos]
+        vt[pos], vt[j] = vt[j], vt[pos]
+        a = _transpose(at)
         while True:
-            dirty = False
-            for i in range(pos + 1, nrows):
-                if a[i][pos]:
-                    q, _ = divmod_poly(a[i][pos], a[pos][pos])
-                    row_combine(i, pos, q)
-                    if a[i][pos]:
-                        # nonzero remainder has smaller degree: promote it
-                        swap_rows(pos, i)
-                        dirty = True
-                        break
-            if dirty:
+            if _clear_column(a, u, pos):
                 continue
-            for j in range(pos + 1, ncols):
-                if a[pos][j]:
-                    q, _ = divmod_poly(a[pos][j], a[pos][pos])
-                    col_combine(j, pos, q)
-                    if a[pos][j]:
-                        swap_cols(pos, j)
-                        dirty = True
-                        break
+            at = _transpose(a)
+            dirty = _clear_column(at, vt, pos)
+            a = _transpose(at)
             if dirty:
                 continue
             # pivot now divides its row and column exactly; enforce that it
@@ -682,7 +647,7 @@ def smith_normal_form(
                     break
             if offender is None:
                 break
-            row_combine(pos, offender, -LaurentPoly.one())
+            _reduce_row(a, u, pos, offender, -LaurentPoly.one())
 
     factors = []
     for pos in range(d):
@@ -694,4 +659,4 @@ def smith_normal_form(
         a[pos] = [scale * e for e in a[pos]]
         u[pos] = [scale * e for e in u[pos]]
         factors.append(a[pos][pos])
-    return factors, (u, v)
+    return factors, (u, _transpose(vt))

@@ -179,38 +179,30 @@ def _kernel_basis(rows: list[list[int]], m: int) -> list[list[int]]:
     Column reduction by Euclidean operations; the transform columns under
     the zeroed-out part of the echelon form span the kernel.
     """
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def col_sub(j, k, q):
-        for r in a:
-            r[j] -= q * r[k]
-        for r in u:
-            r[j] -= q * r[k]
-
-    def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in u:
-            r[j], r[k] = r[k], r[j]
-
+    # column operations on (a, u), done as row operations on their transposes
+    at = [[row[j] for row in rows] for j in range(m)]
+    ut = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     lead = 0
-    for i in range(len(a)):
+    for i in range(len(rows)):
         if lead == m:
             break
         while True:
-            nz = [j for j in range(lead, m) if a[i][j]]
+            nz = [j for j in range(lead, m) if at[j][i]]
             if not nz:
                 break
             if len(nz) == 1:
-                col_swap(lead, nz[0])
+                j = nz[0]
+                at[lead], at[j] = at[j], at[lead]
+                ut[lead], ut[j] = ut[j], ut[lead]
                 lead += 1
                 break
-            j0 = min(nz, key=lambda j: abs(a[i][j]))
+            j0 = min(nz, key=lambda j: abs(at[j][i]))
             for j in nz:
                 if j != j0:
-                    col_sub(j, j0, a[i][j] // a[i][j0])
-    return [[u[r][j] for r in range(m)] for j in range(lead, m)]
+                    q = at[j][i] // at[j0][i]
+                    at[j] = [x - q * y for x, y in zip(at[j], at[j0])]
+                    ut[j] = [x - q * y for x, y in zip(ut[j], ut[j0])]
+    return ut[lead:]
 
 
 def _linf(vec) -> int:
@@ -288,12 +280,16 @@ def complexity_k(pres: FinitePresentation) -> int:
     return sum(len(r) for r in pres.relators)
 
 
+def root_bound(m: int, k: int) -> Fraction:
+    """The root-annulus constant 1 + m! * k^m for m generators and
+    Fox-Jacobian l1 norm k."""
+    return Fraction(1) + math.factorial(m) * Fraction(k) ** m
+
+
 def root_bound_c(pres: FinitePresentation) -> Fraction:
-    """The root-annulus constant 1 + m! * k^m for this presentation.
+    """The root-annulus constant :func:`root_bound` of this presentation.
 
     An upper bound for the sharpest constant of the presented group, which
     would additionally minimize k and m over presentations.
     """
-    m = pres.num_generators
-    k = complexity_k(pres)
-    return Fraction(1) + math.factorial(m) * Fraction(k) ** m
+    return root_bound(pres.num_generators, complexity_k(pres))

@@ -40,7 +40,7 @@ from .presentation import (
     FinitePresentation,
     complexity_k,
     enumerate_epimorphisms,
-    root_bound_c,
+    root_bound,
     validate_epimorphism,
 )
 
@@ -118,7 +118,7 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
 def _minor_gcd(jac: SpecializedJacobian, r: int) -> LaurentPoly:
     rows = range(jac.num_relators)
     cols = range(jac.num_generators)
-    coeff_bound = math.factorial(jac.num_generators) * Fraction(jac.complexity) ** jac.num_generators
+    coeff_bound = root_bound(jac.num_generators, jac.complexity) - 1
     acc = LaurentPoly.zero()
     for ri in itertools.combinations(rows, r):
         for ci in itertools.combinations(cols, r):
@@ -180,6 +180,20 @@ def _to_float(x: Fraction) -> float:
         return math.inf
 
 
+def annulus_margin_verdict(lo: float, hi: float, c: Fraction, tol: float) -> str:
+    """Numeric verdict for root moduli in [lo, hi] against the annulus
+    [1/c, c]: ``fail`` past a boundary by more than 10*tol,
+    ``boundary-indeterminate`` within 10*tol of one, else ``pass``."""
+    margin = 10 * tol
+    cf = _to_float(c)
+    inv_cf = _to_float(1 / c)
+    if hi > cf + margin or lo < inv_cf - margin:
+        return VERDICT_FAIL
+    if hi > cf - margin or lo < inv_cf + margin:
+        return VERDICT_BOUNDARY
+    return VERDICT_PASS
+
+
 def _certify(delta: LaurentPoly, psi, c: Fraction, k: int, tol: float,
              certify_only: bool, seed: int) -> AnnulusReport:
     if not delta or delta.is_unit():
@@ -189,26 +203,20 @@ def _certify(delta: LaurentPoly, psi, c: Fraction, k: int, tol: float,
     upper = cauchy_root_radius(delta)
     upper_reciprocal = cauchy_root_radius(reciprocal(delta))
     exact = upper <= c and upper_reciprocal <= c
+    report = AnnulusReport(tuple(psi), delta, c, k, (), None, None,
+                           VERDICT_PASS if exact else VERDICT_UNKNOWN,
+                           upper, upper_reciprocal, exact)
     if certify_only:
-        verdict = VERDICT_PASS if exact else VERDICT_UNKNOWN
-        return AnnulusReport(tuple(psi), delta, c, k, (), None, None,
-                             verdict, upper, upper_reciprocal, exact)
-    roots = tuple(complex_roots(delta, tol, seed))
+        return report
+    try:
+        roots = tuple(complex_roots(delta, tol, seed))
+    except RootFindingError as exc:
+        return dataclasses.replace(report, failure=str(exc))
     mods = [abs(z) for z, _ in roots]
     lo, hi = min(mods), max(mods)
-    margin = 10 * tol
-    cf = _to_float(c)
-    inv_cf = _to_float(1 / c)
-    if exact:
-        verdict = VERDICT_PASS
-    elif hi > cf + margin or lo < inv_cf - margin:
-        verdict = VERDICT_FAIL
-    elif hi > cf - margin or lo < inv_cf + margin:
-        verdict = VERDICT_BOUNDARY
-    else:
-        verdict = VERDICT_PASS
-    return AnnulusReport(tuple(psi), delta, c, k, roots, lo, hi,
-                         verdict, upper, upper_reciprocal, exact)
+    verdict = VERDICT_PASS if exact else annulus_margin_verdict(lo, hi, c, tol)
+    return dataclasses.replace(report, roots=roots, min_modulus=lo, max_modulus=hi,
+                               verdict=verdict)
 
 
 def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
@@ -217,22 +225,16 @@ def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
 
     The verdict is ``pass`` whenever the exact rational certificate
     (Cauchy radii of the polynomial and its reciprocal both at most c)
-    holds, regardless of numerics; otherwise numeric root moduli decide,
-    with roots within 10*tol of a boundary reported as
-    ``boundary-indeterminate`` rather than pass/fail.  With
-    ``certify_only`` no floating point runs and the verdict is pass,
-    vacuous, or unknown.  A root-finder failure does not raise: the report
-    falls back to the exact certificates and records the failure message.
+    holds, regardless of numerics; otherwise numeric root moduli decide
+    through :func:`annulus_margin_verdict`.  With ``certify_only`` no
+    floating point runs and the verdict is pass, vacuous, or unknown.  A
+    root-finder failure does not raise: the report keeps the exact
+    certificates and records the failure message.
     """
     jac = specialize_jacobian(pres, psi)
     delta = torsion_polynomial(jac)
-    c = root_bound_c(pres)
-    try:
-        return _certify(delta, jac.psi, c, jac.complexity, tol, certify_only, seed)
-    except RootFindingError as exc:
-        return dataclasses.replace(
-            _certify(delta, jac.psi, c, jac.complexity, tol, True, seed), failure=str(exc)
-        )
+    c = root_bound(jac.num_generators, jac.complexity)
+    return _certify(delta, jac.psi, c, jac.complexity, tol, certify_only, seed)
 
 
 def scan(pres: FinitePresentation, bound: int, tol: float = 1e-10,

@@ -168,6 +168,17 @@ def test_det_multiplicative_on_block_triangular():
         assert determinant(block) == determinant(a) * determinant(c)
 
 
+def test_det_singular_only_after_elimination():
+    # no zero row or column; the first Bareiss step leaves a zero pivot
+    # column, so the elimination must stop there with determinant 0
+    m = [[ONE, T, ONE], [T, T * T, T], [ONE, ONE, T]]
+    assert determinant(m) == ZERO
+
+
+def test_rank_skips_zero_leading_column():
+    assert rank([[ZERO, T, ONE], [ZERO, ONE, T]]) == 2
+
+
 def test_rank_zero_matrix():
     assert rank([[ZERO, ZERO], [ZERO, ZERO]]) == 0
     assert rank([]) == 0
@@ -202,6 +213,14 @@ def test_snf_already_diagonal():
 def test_snf_unit_entries():
     factors, _ = smith_normal_form([[T.scale(2), ZERO], [ZERO, LaurentPoly.constant(3)]])
     assert factors == [ONE, T]
+
+
+def test_snf_keeps_factors_of_t():
+    # Smith runs over Q[t], where t is not a unit: entries already in Q[t]
+    # are not shifted down, so the factors keep their powers of t
+    assert smith_normal_form([[T]])[0] == [T]
+    factors, _ = smith_normal_form([[T, ZERO], [ZERO, T * T]])
+    assert factors == [T, T * T]
 
 
 def test_snf_zero_matrix():

@@ -226,6 +226,27 @@ def test_specialization_matches_group_ring_oracle():
     assert checked > 100
 
 
+# -- every _certify verdict on synthetic polynomials -------------------------
+
+
+@pytest.mark.parametrize(
+    "coeffs, c, certify_only, verdict, exact",
+    [
+        ((1, -3, 1), 3, False, "pass", False),  # roots 0.38 and 2.62 inside [1/3, 3]
+        ((-3, 1), 2, False, "fail", False),  # root 3 outside [1/2, 2]
+        ((-2, 1), 2, False, "boundary-indeterminate", False),  # root 2 on the boundary
+        ((-3, 1), 2, True, "unknown", False),  # certificate fails, no numerics
+        ((0, 0, 0, 5), 2, False, "vacuous", True),  # 5t^3 is a unit
+    ],
+)
+def test_certify_verdicts(coeffs, c, certify_only, verdict, exact):
+    rep = torsion_mod._certify(lp(*coeffs), (1,), Fraction(c), 1, 1e-10, certify_only, 0)
+    assert rep.verdict == verdict
+    assert rep.exact_certified is exact
+    assert rep.failure is None
+    assert bool(rep.roots) == (verdict in ("pass", "fail", "boundary-indeterminate"))
+
+
 # -- root-finder failure path ------------------------------------------------
 
 
