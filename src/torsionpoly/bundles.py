@@ -248,7 +248,7 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
     term +/-1, elementary-symmetric magnitude bounds C(beta,k)*c^k, and all
     roots of modulus within [1/c, c].  The upper and lower root conditions
     are accepted by the exact Cauchy certificate when it applies and by
-    high-precision numerics otherwise.  Output is duplicate-free, sorted by
+    the certified numeric roots of :func:`complex_roots` otherwise.  Output is duplicate-free, sorted by
     coefficient tuple, and closed under the reciprocal map.
     """
     if not (1 <= beta <= 4):

@@ -303,7 +303,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, PresentationError, InvalidEpimorphism, ValueError, OSError) as exc:
+    except (ParseError, PresentationError, InvalidEpimorphism, ValueError, OSError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -2,9 +2,13 @@
 
 The ring of rational Laurent polynomials is a principal ideal domain whose
 units are the monomials r*t^i (r a nonzero rational).  Everything here is
-exact ``Fraction`` arithmetic except :func:`complex_roots`, which runs an
-Aberth-Ehrlich simultaneous iteration in elevated mpmath precision and
-certifies each returned root against a residual bound.
+exact ``Fraction`` arithmetic except :func:`complex_roots`.  It splits the
+polynomial exactly into square-free factors, locates the roots of each by
+the Aberth-Ehrlich iteration in machine ``complex``, polishes every root
+by Newton steps evaluated exactly, and certifies each reported value
+against a residual bound in exact arithmetic.  Only when that fails does
+the same route run in a private mpmath context at elevated precision;
+mpmath is imported there and nowhere else.
 
 Conventions
 -----------
@@ -17,12 +21,10 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
-
-import mpmath
-from mpmath.ctx_mp import MPContext
 
 
 class RootFindingError(RuntimeError):
@@ -182,8 +184,13 @@ class LaurentPoly:
         """Sum of absolute values of the coefficients."""
         return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
 
-    def eval_mp(self, z, ctx=mpmath.mp):
-        """Evaluate at an mpmath (or complex) number via Horner."""
+    def eval_mp(self, z, ctx=None):
+        """Evaluate at an mpmath (or complex) number via Horner; ``ctx``
+        defaults to the global mpmath context."""
+        if ctx is None:
+            import mpmath
+
+            ctx = mpmath.mp
         cs = self.dense()
         if not cs:
             return ctx.mpf(0)
@@ -330,117 +337,307 @@ def cauchy_root_radius(p: LaurentPoly) -> Fraction:
     return Fraction(1) + sum((abs(c / lead) for c in cs[:-1]), Fraction(0))
 
 
-# -- numeric roots: Aberth-Ehrlich simultaneous iteration -------------------
+# -- numeric roots: square-free split, Aberth, exact polishing ---------------
 
 
-def _horner_pair(ctx, coeffs_mp, z):
-    """Evaluate p and p' simultaneously (coeffs ascending, mpmath numbers)."""
-    p = ctx.mpc(0)
-    dp = ctx.mpc(0)
-    for c in reversed(coeffs_mp):
+def _derivative(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly({e - 1: e * c for e, c in p.coeffs.items()})
+
+
+_SQUAREFREE_PRIME = 2**31 - 1
+_POLISH_STEPS = 8
+
+
+def _squarefree_mod_p(q: list[int]) -> bool:
+    """True if gcd(q mod p, q' mod p) is a unit for p = 2^31 - 1.
+
+    Then q is square-free over Q: when p > deg q does not divide the
+    leading coefficient, a repeated factor of q survives reduction mod p.
+    """
+    p = _SQUAREFREE_PRIME
+    if len(q) > p or q[-1] % p == 0:
+        return False
+    a = [c % p for c in q]
+    b = [i * c % p for i, c in enumerate(q)][1:]
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            r = a[-1] * inv % p
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - r * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree_factors(q: list[int]) -> list[tuple[list[int], int]]:
+    """Square-free decomposition of an integer polynomial q (ascending, with
+    nonzero constant term): pairs (f_i, i) with q associate to the product
+    of the f_i^i, each f_i primitive, square-free and of positive degree.
+
+    Yun's algorithm over Q (Yun, SYMSAC 1976) runs only when the test mod
+    p cannot rule out repeated factors.
+    """
+    if _squarefree_mod_p(q):
+        return [(q, 1)]
+    f = LaurentPoly.from_coeffs(q)
+    a = gcd(f, _derivative(f))
+    b = exact_div(f, a)
+    d = exact_div(_derivative(f), a) - _derivative(b)
+    out = []
+    i = 1
+    while b.span():
+        a = gcd(b, d)
+        if a.span():
+            out.append(([int(c) for c in a.dense()], i))
+        b = exact_div(b, a)
+        d = exact_div(d, a) - _derivative(b)
+        i += 1
+    return out
+
+
+class _Doubles:
+    """Machine ``complex`` for :func:`_aberth`; an overflow raises."""
+
+    @staticmethod
+    def ratio(n: int, d: int) -> float:
+        return n / d  # correctly rounded; OverflowError past the double range
+
+    @staticmethod
+    def polar(r, turns):
+        return cmath.rect(r, 2 * math.pi * turns)
+
+    @staticmethod
+    def targets(deg: int):
+        """(backward error, relative step) at which a root has converged:
+        the rounding noise of Horner's rule, and a few units in the last place."""
+        return 4 * deg * 2.0**-53, 2.0**-50
+
+    finite = staticmethod(cmath.isfinite)
+
+
+class _MpNumbers:
+    """A private mpmath context at ``dps`` digits for :func:`_aberth`."""
+
+    def __init__(self, dps: int):
+        from mpmath.ctx_mp import MPContext  # only the fallback loads mpmath
+
+        self.ctx = MPContext()
+        self.ctx.dps = dps
+
+    def ratio(self, n: int, d: int):
+        return self.ctx.mpf(n) / self.ctx.mpf(d)
+
+    def polar(self, r, turns):
+        return r * self.ctx.expjpi(2 * turns)
+
+    def targets(self, deg: int):
+        dps = self.ctx.dps
+        return self.ctx.mpf(10) ** (-(dps // 2)), self.ctx.mpf(10) ** (-(dps - 10))
+
+    @staticmethod
+    def finite(z) -> bool:
+        return True
+
+
+_DOUBLES = _Doubles()
+
+
+def _horner(coeffs, z):
+    """p(z), p'(z) and the rounding scale sum |c_k| |z|^k (coefficients
+    ascending)."""
+    p = dp = scale = 0
+    r = abs(z)
+    for c in reversed(coeffs):
         dp = dp * z + p
         p = p * z + c
-    return p, dp
+        scale = scale * r + abs(c)
+    return p, dp, scale
+
+
+def _aberth(numbers, f: list[int], seed: int) -> list:
+    """Aberth-Ehrlich simultaneous iteration for the roots of the integer
+    polynomial f, in the number context ``numbers``.
+
+    Start points are seeded on a circle inside the Cauchy radius.  A root
+    has converged, and stops moving, once |p(z)| / sum |c_k| |z|^k (its
+    backward error) or its relative step is below the context's targets.
+    Outside the unit disk p and p' are evaluated through the reversed
+    polynomial at 1/z, so no power of |z| is formed.
+    """
+    deg = len(f) - 1
+    cs = [numbers.ratio(c, f[-1]) for c in f]
+    rev = cs[::-1]
+    res_target, step_target = numbers.targets(deg)
+    rng = random.Random(seed)
+    radius = 1 + max(abs(c) for c in cs)
+    offset = rng.uniform(0.1, 0.4)
+    z = [numbers.polar(0.7 * radius, (k + offset) / deg) for k in range(deg)]
+    moving = range(deg)
+    for _ in range(600):
+        still = []
+        for k in moving:
+            zk = z[k]
+            if abs(zk) <= 1:
+                pv, den, scale = _horner(cs, zk)
+                num = pv
+            else:
+                y = 1 / zk
+                pv, dq, scale = _horner(rev, y)  # p(z) / z^deg
+                num, den = zk * pv, deg * pv - y * dq  # p'(z) / z^(deg-1) in den
+            if pv == 0:
+                continue
+            try:
+                w = num / den
+                s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+            except ZeroDivisionError:  # a critical point, or two iterates collided
+                z[k] += step_target * (1 + abs(zk)) * (1 + 1j)
+                still.append(k)
+                continue
+            denom = 1 - w * s
+            delta = w if denom == 0 else w / denom
+            z[k] = zk - delta
+            if not numbers.finite(z[k]):
+                raise OverflowError("Aberth iterate left the double range")
+            if abs(pv) >= res_target * scale and abs(delta) >= step_target * max(1, abs(z[k])):
+                still.append(k)
+        if not still:
+            return z
+        moving = still
+    raise RootFindingError(
+        f"Aberth iteration did not converge for {LaurentPoly.from_coeffs(f).display()}"
+    )
+
+
+def _dyadic(z: complex) -> tuple[int, int, int]:
+    """(a, b, e) with z == (a + ib) / 2^e exactly."""
+    (an, ad), (bn, bd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    e = max(ad, bd).bit_length() - 1
+    return an << (e - ad.bit_length() + 1), bn << (e - bd.bit_length() + 1), e
+
+
+def _scaled_horner(f: list[int], a: int, b: int, e: int):
+    """Gaussian-integer Horner's rule at z = (a + ib) / 2^e.
+
+    Returns 2^(e*d) f(z) and 2^(e*(d-1)) f'(z), d = deg f, as (re, im) pairs
+    of integers, so no rounding happens.
+    """
+    gr, gi, hr, hi = f[-1], 0, 0, 0
+    shift = 0
+    for c in reversed(f[:-1]):
+        shift += e
+        hr, hi = hr * a - hi * b + gr, hr * b + hi * a + gi
+        gr, gi = gr * a - gi * b + (c << shift), gr * b + gi * a
+    return (gr, gi), (hr, hi)
+
+
+def _newton_exact(f: list[int], z: complex) -> complex:
+    """One Newton step z - f(z)/f'(z), evaluated exactly and rounded once
+    to the nearest double in each component."""
+    a, b, e = _dyadic(z)
+    (gr, gi), (hr, hi) = _scaled_horner(f, a, b, e)
+    if not (hr or hi):
+        return z
+    # z - f/f' = (Z*H - G) / (H * 2^e) with Z = a + ib
+    nr, ni = a * hr - b * hi - gr, a * hi + b * hr - gi
+    den = (hr * hr + hi * hi) << e
+    return complex((nr * hr + ni * hi) / den, (ni * hr - nr * hi) / den)
+
+
+def _polish(f: list[int], z: complex) -> complex:
+    """Exact Newton steps from z until one moves it by at most a unit in the
+    last place of |z|, which then holds the correctly rounded root.
+
+    An iterate of the double stage settles in one step; an ill-conditioned
+    root (such as those of prod (t - k), k <= 20) takes a few more.
+    """
+    for _ in range(_POLISH_STEPS):
+        nxt = _newton_exact(f, z)
+        settled = abs(nxt - z) <= 2.0**-52 * abs(nxt)
+        z = nxt
+        if settled:
+            return z
+    raise RootFindingError(
+        f"exact Newton steps did not settle for {LaurentPoly.from_coeffs(f).display()}"
+    )
+
+
+def _certified(q: list[int], z: complex, tol: float) -> bool:
+    """The residual certificate |q(z)| <= tol * ||q||_1 * max(1, |z|)^deg,
+    squared and decided in integers; it is invariant under scaling q, so
+    it holds for q exactly when it holds for the monic normalization."""
+    a, b, e = _dyadic(z)
+    (gr, gi), _ = _scaled_horner(q, a, b, e)
+    t = Fraction(tol)
+    norm1 = sum(abs(c) for c in q)
+    return ((gr * gr + gi * gi) * t.denominator**2
+            <= (t.numerator * norm1) ** 2 * max(1 << 2 * e, a * a + b * b) ** (len(q) - 1))
+
+
+def _located_roots(numbers, p, q, factors, tol, seed):
+    """The roots of p through one number context: Aberth per square-free
+    factor, exact Newton polishing of each root, clustering at tol**0.5,
+    and the exact residual certificate on every reported value."""
+    found = []
+    for f, mult in factors:
+        polished = [_polish(f, complex(z)) for z in _aberth(numbers, f, seed)]
+        if len(set(polished)) < len(polished):
+            raise RootFindingError(f"two iterates reached the same root of {p.display()}")
+        found += [(z, mult) for z in polished]
+    out = _cluster(found, tol ** 0.5)
+    for z, _ in out:
+        if not _certified(q, z, tol):
+            raise RootFindingError(f"root residual at {z} exceeds bound for {p.display()}")
+    return out
 
 
 def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[complex, int]]:
-    """All nonzero roots of ``p`` with multiplicities.
+    """All nonzero roots of ``p`` with multiplicities, sorted by (re, im).
 
-    Factors of t are stripped first.  Roots are located by the
-    Aberth-Ehrlich simultaneous iteration in elevated working precision,
-    clustered at radius tol**0.5 (clusters report summed multiplicity), and
-    each returned value z is certified against
+    Factors of t and the rational content are stripped, and the primitive
+    integer polynomial q is split exactly into square-free factors f_i of
+    multiplicity i, so multiplicities come from algebra.  The roots of each
+    f_i are located by the Aberth-Ehrlich iteration in machine ``complex``.
+    A Newton step on f_i, evaluated exactly at the double iterate and
+    rounded once to the nearest double, gives the reported value; it is
+    repeated (at most 8 times) until a step moves the value by at most a
+    unit in the last place, which takes one step unless the root is
+    ill-conditioned.  Roots within tol**0.5 of each other are clustered (a
+    cluster reports its centroid and summed multiplicity), and each
+    reported value z is certified exactly against
     ``|phat(z)| <= tol * ||phat||_1 * max(1, |z|)^deg`` for the monic
-    normalization phat.  Raises :class:`RootFindingError` on failure.
+    normalization phat.
 
-    Runs in a private mpmath context, so concurrent callers never touch
-    shared precision state.
+    On a float overflow, non-convergence or a failed certificate the same
+    route runs again in a private mpmath context at max(60, 2*deg + 30)
+    digits; :class:`RootFindingError` is raised if that fails too.
     """
     if not p:
         raise ValueError("cannot extract roots of the zero polynomial")
     if not (0 < tol <= 1e-4):
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
-    cs = p.dense()
-    deg = len(cs) - 1
+    q = [int(c) for c in normalize(p).dense()]
+    deg = len(q) - 1
     if deg == 0:
         return []
-    lead = cs[-1]
-    monic = [c / lead for c in cs]
-
-    ctx = MPContext()
-    ctx.dps = max(60, 2 * deg + 30)
-    coeffs_mp = [ctx.mpf(c.numerator) / ctx.mpf(c.denominator) for c in monic]
-    norm1 = sum(abs(c) for c in coeffs_mp)
-    approx = _aberth(ctx, coeffs_mp, norm1, deg, seed, display=p.display())
-    clusters = _cluster(approx, tol ** 0.5)
-    out = []
-    for center, mult in clusters:
-        val, _ = _horner_pair(ctx, coeffs_mp, center)
-        bound = tol * norm1 * max(1.0, abs(center)) ** deg
-        if abs(val) > bound:
-            raise RootFindingError(
-                f"root residual {ctx.nstr(abs(val), 8)} exceeds bound for {p.display()}"
-            )
-        out.append((complex(center), mult))
+    factors = _squarefree_factors(q)
+    try:
+        out = _located_roots(_DOUBLES, p, q, factors, tol, seed)
+    except (OverflowError, RootFindingError):
+        try:
+            out = _located_roots(_MpNumbers(max(60, 2 * deg + 30)), p, q, factors, tol, seed)
+        except OverflowError as exc:
+            raise RootFindingError(f"a root of {p.display()} lies outside the double range") from exc
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
-def _aberth(ctx, coeffs_mp, norm1, deg, seed, display):
-    rng = random.Random(seed)
-    radius = ctx.mpf(1) + max(abs(c) for c in coeffs_mp)
-    offset = rng.uniform(0.1, 0.4)
-    z = [
-        radius * ctx.expjpi(2 * (k + offset) / deg) * ctx.mpf("0.7")
-        for k in range(deg)
-    ]
-    # relative residual target: far tighter than any admissible tol, but
-    # reachable in linearly many sweeps even at multiple roots
-    target = ctx.mpf(10) ** (-(ctx.dps // 2))
-    tiny = ctx.mpf(10) ** (-(ctx.dps - 10))
-    for _ in range(600):
-        worst_res = ctx.mpf(0)
-        worst_step = ctx.mpf(0)
-        for k in range(deg):
-            pv, dv = _horner_pair(ctx, coeffs_mp, z[k])
-            res = abs(pv) / (norm1 * max(ctx.mpf(1), abs(z[k])) ** deg)
-            if res > worst_res:
-                worst_res = res
-            if pv == 0:
-                continue
-            if dv == 0:
-                z[k] += tiny * (1 + abs(z[k])) * ctx.mpc(1, 1)
-                worst_step = ctx.mpf(1)
-                continue
-            w = pv / dv
-            s = ctx.mpc(0)
-            collision = False
-            for j in range(deg):
-                if j == k:
-                    continue
-                dz = z[k] - z[j]
-                if dz == 0:
-                    collision = True
-                    break
-                s += 1 / dz
-            if collision:
-                z[k] += tiny * (1 + abs(z[k])) * ctx.mpc(1, -1)
-                worst_step = ctx.mpf(1)
-                continue
-            denom = 1 - w * s
-            delta = w if denom == 0 else w / denom
-            z[k] -= delta
-            step = abs(delta) / max(ctx.mpf(1), abs(z[k]))
-            if step > worst_step:
-                worst_step = step
-        if worst_res < target or worst_step < tiny:
-            return z
-    raise RootFindingError(f"Aberth iteration did not converge for {display}")
-
-
-def _cluster(points, radius):
-    """Single-linkage clustering; returns (centroid, size) pairs."""
-    n = len(points)
+def _cluster(roots, radius):
+    """Single-linkage clustering of (point, multiplicity) pairs; a cluster
+    reports its weighted centroid and summed multiplicity."""
+    n = len(roots)
     parent = list(range(n))
 
     def find(i):
@@ -451,15 +648,18 @@ def _cluster(points, radius):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
+            if abs(roots[i][0] - roots[j][0]) <= radius:
                 parent[find(i)] = find(j)
     groups: dict[int, list] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
+        groups.setdefault(find(i), []).append(roots[i])
     out = []
     for members in groups.values():
-        center = sum(members) / len(members)
-        out.append((center, len(members)))
+        if len(members) == 1:
+            out.append(members[0])
+        else:
+            mult = sum(m for _, m in members)
+            out.append((sum(z * m for z, m in members) / mult, mult))
     return out
 
 

@@ -3,6 +3,8 @@
 import itertools
 import math
 
+import sympy
+
 from torsionpoly.freegroup import Word
 from torsionpoly.presentation import FinitePresentation, exponent_sum_matrix
 from torsionpoly.sl2z import mat_mul
@@ -67,3 +69,11 @@ def random_sl2z_matrix(rng, entry_bound=10):
     if rng.random() < 0.5:
         m = tuple(tuple(-v for v in row) for row in m)
     return [list(row) for row in m]
+
+
+def sympy_roots(p):
+    """(30-digit root, multiplicity) pairs of a LaurentPoly with integer
+    coefficients, from sympy's square-free decomposition."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([int(c) for c in reversed(p.dense())], x)
+    return [(r, m) for f, m in poly.sqf_list()[1] for r in sympy.Poly(f, x).nroots(n=30)]

@@ -1,10 +1,20 @@
 """CLI behavior: exit codes, JSON schema, determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import torsionpoly
+from helpers import sympy_roots
 from torsionpoly.cli import main
+from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
+from torsionpoly.laurent import LaurentPoly
 
 TREFOIL = "gens: x, y\nrel: x y x Y X Y\n"
 
@@ -185,3 +195,55 @@ def test_parse_error_exit_one(tmp_path, capsys):
 
 def test_missing_file_exit_one(capsys):
     assert main(["torsion", "--pres", "/nonexistent.pres", "--psi", "1"]) == 1
+
+
+def test_arithmetic_error_exit_one(capsys):
+    assert main(["sol-census", "--c", "1/0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_NO_MPMATH = """
+import io, sys
+from torsionpoly import cli
+for flags in (["--certify-only"], []):
+    sys.stdin = io.StringIO("gens: x, y\\nrel: x y x Y X Y\\n")
+    assert cli.main(["torsion", "--pres", "-", "--psi", "1,1", "--json", *flags]) == 0
+    print(flags, "mpmath" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_cli_runs_without_importing_mpmath():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_MPMATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["['--certify-only'] False", "[] False"]
+
+
+def _fmt(x):
+    return format(x, ".15g")
+
+
+def _zeroed(re, im, modulus, mult):
+    """Root strings with components below 1e-15 * max(1, |z|) set to 0."""
+    z = complex(float(re), float(im))
+    small = 1e-15 * max(1.0, abs(z))
+    return (re if abs(float(re)) >= small else "0",
+            im if abs(float(im)) >= small else "0", modulus, mult)
+
+
+@pytest.mark.parametrize("entry", THREE_MANIFOLD_CORPUS, ids=lambda e: e.name)
+def test_corpus_root_strings_match_sympy(entry, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(entry.text))
+    psi = ",".join(str(v) for v in entry.psi)
+    main(["torsion", "--pres", "-", "--psi", psi, "--json", "--seed", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    got = Counter(_zeroed(r["re"], r["im"], r["modulus"], r["mult"]) for r in doc["roots"])
+    delta = LaurentPoly.from_coeffs([Fraction(c) for c in doc["delta"]["coeffs"]])
+    expected = Counter()
+    if delta.span():
+        for r, mult in sympy_roots(delta):
+            z = complex(r)
+            expected[_zeroed(_fmt(z.real), _fmt(z.imag), _fmt(float(abs(r))), mult)] += 1
+    assert got == expected
