@@ -32,6 +32,7 @@ from .presentation import (
 from .torsion import (
     AnnulusReport,
     InvalidEpimorphism,
+    SizeBudgetExceeded,
     SpecializedJacobian,
     annulus_certify,
     scan,
@@ -47,6 +48,7 @@ __all__ = [
     "LaurentPoly",
     "ParseError",
     "PresentationError",
+    "SizeBudgetExceeded",
     "SpecializedJacobian",
     "Word",
     "annulus_certify",

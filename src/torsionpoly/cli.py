@@ -105,8 +105,10 @@ def _print_report_text(rep: AnnulusReport, out) -> None:
 
 
 def _read_presentation(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse_presentation(text)
+    if path == "-":
+        return parse_presentation(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return parse_presentation(fh.read())
 
 
 def _parse_int_vector(text: str) -> tuple[int, ...]:

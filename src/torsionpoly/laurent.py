@@ -1,14 +1,23 @@
 """Exact arithmetic and linear algebra over the ring Q[t, t^-1].
 
 The ring of rational Laurent polynomials is a principal ideal domain whose
-units are the monomials r*t^i (r a nonzero rational).  Everything here is
-exact ``Fraction`` arithmetic except :func:`complex_roots`.  It splits the
-polynomial exactly into square-free factors, locates the roots of each by
-the Aberth-Ehrlich iteration in machine ``complex``, polishes every root
-by Newton steps evaluated exactly, and certifies each reported value
-against a residual bound in exact arithmetic.  Only when that fails does
-the same route run in a private mpmath context at elevated precision;
-mpmath is imported there and nowhere else.
+units are the monomials r*t^i (r a nonzero rational).  :class:`LaurentPoly`
+holds ``Fraction`` coefficients, but the exact core computes on an integer
+kernel: a polynomial is read once into a dense list of Python ints over a
+common denominator, and division, gcd, normalization, Cauchy radii and the
+Smith row steps run on such lists.  Division is one sparse pseudo-division
+that visits only the divisor's nonzero coefficients, and the gcd is a
+primitive polynomial remainder sequence over Z.  ``Fraction``s are built
+only for the coefficients of a returned ``LaurentPoly``, so every result
+equals that of plain rational arithmetic.
+
+Only :func:`complex_roots` is inexact.  It splits the polynomial exactly
+into square-free factors, locates the roots of each by the Aberth-Ehrlich
+iteration in machine ``complex``, polishes every root by Newton steps
+evaluated exactly, and certifies each reported value against a residual
+bound in exact arithmetic.  Only when that fails does the same route run
+in a private mpmath context at elevated precision; mpmath is imported
+there and nowhere else.
 
 Conventions
 -----------
@@ -52,7 +61,8 @@ class LaurentPoly:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[int(e)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -153,16 +163,15 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Fraction] = {}
+        da, db = _common_den(self), _common_den(other)
+        right = [(e, c.numerator * (db // c.denominator)) for e, c in other.coeffs.items()]
+        out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            n1 = c1.numerator * (da // c1.denominator)
+            for e2, n2 in right:
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(out)
+                out[e] = out.get(e, 0) + n1 * n2
+        return _from_terms(out.items(), da * db)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -182,7 +191,8 @@ class LaurentPoly:
 
     def norm_l1(self) -> Fraction:
         """Sum of absolute values of the coefficients."""
-        return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
+        d = _common_den(self)
+        return Fraction(sum(abs(c.numerator) * (d // c.denominator) for c in self.coeffs.values()), d)
 
     def eval_mp(self, z, ctx=None):
         """Evaluate at an mpmath (or complex) number via Horner; ``ctx``
@@ -223,19 +233,98 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-# -- normalization, gcd, root bounds ---------------------------------------
+# -- the integer kernel: normalization, division, gcd, root bounds ------------
+# A polynomial is a dense ascending list of ints with no trailing zeros (the
+# zero polynomial is []), read from a LaurentPoly over a common denominator.
 
 
-def _content(coeffs) -> Fraction:
-    """The positive rational g with every coefficient / g an integer and
-    those integers coprime; 1 when there are no nonzero coefficients."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c.numerator * (lcm // c.denominator))
-    return Fraction(g, lcm) if g else Fraction(1)
+def _common_den(*polys) -> int:
+    """The least common multiple of the coefficient denominators."""
+    d = 1
+    for p in polys:
+        for c in p.coeffs.values():
+            if c.denominator != 1:
+                d = math.lcm(d, c.denominator)
+    return d
+
+
+def _scaled_ints(p: LaurentPoly, d: int, lo: int) -> list[int]:
+    """The integer coefficients of d * p, ascending from exponent lo <= p.min_exp."""
+    if not p.coeffs:
+        return []
+    out = [0] * (max(p.coeffs) - lo + 1)
+    for e, c in p.coeffs.items():
+        out[e - lo] = c.numerator * (d // c.denominator)
+    return out
+
+
+def _int_form(p: LaurentPoly) -> list[int]:
+    """The integer coefficients of p over its common denominator, ascending
+    from p.min_exp; a positive rational multiple of ``p.dense()``."""
+    return _scaled_ints(p, _common_den(p), p.min_exp) if p else []
+
+
+def _from_terms(terms, d: int = 1) -> LaurentPoly:
+    """The polynomial with coefficient c / d at exponent e for each pair
+    (e, c) of ``terms``; every coefficient the kernel returns is built here."""
+    if d == 1:
+        return LaurentPoly({e: Fraction(c) for e, c in terms if c})
+    return LaurentPoly({e: Fraction(c, d) for e, c in terms if c})
+
+
+def _canonical(cs: list[int]) -> LaurentPoly:
+    """The canonical associate of the nonzero integer polynomial cs."""
+    lo = next(i for i, c in enumerate(cs) if c)
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return _from_terms(enumerate(c // g for c in cs[lo:]))
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by the gcd of its coefficients."""
+    g = math.gcd(*cs)
+    return cs if g in (0, 1) else [c // g for c in cs]
+
+
+def _pdivmod(num: list[int], den: list[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division of integer polynomials: (s, q, r) with
+    s * num == q * den + r, s > 0 and len(r) < len(den).
+
+    Only the nonzero coefficients of ``den`` are visited.  A quotient term
+    is exact when the leading coefficient divides the running coefficient;
+    otherwise the running remainder, the quotient so far and s are first
+    multiplied by the least factor that makes it divide.
+    """
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    dn = len(den) - 1
+    if len(num) <= dn:
+        return 1, [], list(num)
+    lead = den[-1]
+    tail = [(i, c) for i, c in enumerate(den[:-1]) if c]
+    rem = list(num)
+    quo = [0] * (len(num) - dn)
+    s = 1
+    for k in range(len(num) - 1, dn - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        q, r = divmod(c, lead)
+        if r:
+            m = abs(lead) // math.gcd(c, lead)
+            s *= m
+            rem = [x * m for x in rem[:k]]
+            quo = [x * m for x in quo]
+            q = c * m // lead
+        off = k - dn
+        quo[off] = q
+        for i, d in tail:
+            rem[off + i] -= q * d
+    rem = rem[:dn]
+    while rem and not rem[-1]:
+        rem.pop()
+    return s, quo, rem
 
 
 def normalize(p: LaurentPoly) -> LaurentPoly:
@@ -244,43 +333,16 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
     Lowest exponent 0, coprime integer coefficients, positive leading
     coefficient.  Associates normalize identically and units normalize to 1.
     """
-    cs = p.dense()
-    if not cs:
-        return LaurentPoly.zero()
-    g = _content(cs)
-    if cs[-1] < 0:
-        g = -g
-    return LaurentPoly.from_coeffs([c / g for c in cs])
+    return _canonical(_int_form(p)) if p else LaurentPoly.zero()
 
 
-def _dense_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Polynomial division with remainder over Q, on ascending coefficient lists."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(rem) - 1 < dn:
-        return [], rem
-    quo = [Fraction(0)] * (len(rem) - dn)
-    for k in range(len(rem) - 1, dn - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        q = c / lead
-        quo[k - dn] = q
-        for i, d in enumerate(den):
-            rem[k - dn + i] -= q * d
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
-
-
-def _dense_abs(p: LaurentPoly) -> list[Fraction]:
-    """Ascending coefficients from exponent 0; requires min_exp >= 0."""
-    if p and p.min_exp < 0:
-        raise ValueError("polynomial division requires nonnegative exponents")
-    return [Fraction(0)] * p.min_exp + p.dense() if p else []
+def _divide(a: LaurentPoly, b: LaurentPoly, lo_a: int, lo_b: int):
+    """(q, r, d) from one pseudo-division of the integer forms of a and b,
+    read from exponents lo_a and lo_b: the quotient is q / d and the
+    remainder r / d."""
+    da, db = _common_den(a), _common_den(b)
+    s, q, r = _pdivmod(_scaled_ints(a, da, lo_a), _scaled_ints(b, db, lo_b))
+    return [c * db for c in q], r, s * da
 
 
 def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -290,37 +352,44 @@ def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    q, r = _dense_divmod(_dense_abs(a), _dense_abs(b))
-    return LaurentPoly.from_coeffs(q), LaurentPoly.from_coeffs(r)
+    if (a and a.min_exp < 0) or b.min_exp < 0:
+        raise ValueError("polynomial division requires nonnegative exponents")
+    q, r, d = _divide(a, b, 0, 0)
+    return _from_terms(enumerate(q), d), _from_terms(enumerate(r), d)
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division a/b in Q[t, t^-1]; raises if b does not divide a."""
     if not a:
         return LaurentPoly.zero()
-    q, r = _dense_divmod(a.dense(), b.dense())
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q, r, d = _divide(a, b, a.min_exp, b.min_exp)
     if r:
         raise ArithmeticError("inexact Laurent division")
-    return LaurentPoly.from_coeffs(q, a.min_exp - b.min_exp)
+    return _from_terms(enumerate(q, a.min_exp - b.min_exp), d)
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Normalized greatest common divisor in the PID Q[t, t^-1].
 
     ``gcd(p, 0) == normalize(p)`` and the result is the canonical associate.
+    It is computed as a primitive polynomial remainder sequence over Z:
+    each pseudo-remainder is divided by its content before the next step.
     """
-    a, b = p.dense(), q.dense()
+    a, b = _primitive(_int_form(p)), _primitive(_int_form(q))
     while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    return normalize(LaurentPoly.from_coeffs(a))
+        a, b = b, _primitive(_pdivmod(a, b)[2])
+    return _canonical(a) if a else LaurentPoly.zero()
 
 
 def reciprocal(p: LaurentPoly) -> LaurentPoly:
     """The polynomial with reversed coefficients; its nonzero roots are the
     inverses of the nonzero roots of ``p``."""
-    cs = p.dense()
-    return LaurentPoly.from_coeffs(list(reversed(cs)))
+    if not p:
+        return LaurentPoly.zero()
+    hi = p.max_exp
+    return LaurentPoly({hi - e: c for e, c in p.coeffs.items()})
 
 
 def cauchy_root_radius(p: LaurentPoly) -> Fraction:
@@ -330,11 +399,11 @@ def cauchy_root_radius(p: LaurentPoly) -> Fraction:
     same nonzero roots as ``p``; every nonzero root z of ``p`` satisfies
     |z| <= the returned rational.  Units yield 1 (no nonzero roots).
     """
-    cs = p.dense()
-    if not cs:
+    if not p:
         raise ValueError("the zero polynomial has no root radius")
-    lead = cs[-1]
-    return Fraction(1) + sum((abs(c / lead) for c in cs[:-1]), Fraction(0))
+    cs = _int_form(p)
+    lead = abs(cs[-1])
+    return 1 + Fraction(sum(map(abs, cs)) - lead, lead)
 
 
 # -- numeric roots: square-free split, Aberth, exact polishing ---------------
@@ -759,16 +828,51 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _reduce_row(a, u, i, k, q):
-    """row_i -= q * row_k in ``a`` and ``u``; then divide row i of both by
-    the rational content of row i of ``a``, which tames fraction swell."""
-    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-    g = _content([c for e in a[i] for c in e.coeffs.values()])
-    if g != 1:
-        r = 1 / g
-        a[i] = [e.scale(r) for e in a[i]]
-        u[i] = [e.scale(r) for e in u[i]]
+def _row_ints(a, u, i):
+    """Row i of ``a`` followed by row i of ``u`` as integer polynomials from
+    exponent 0 over one common denominator d; returns (polynomials, d)."""
+    row = a[i] + u[i]
+    d = _common_den(*row)
+    return [_scaled_ints(e, d, 0) for e in row], d
+
+
+def _sub_mul(s: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
+    """The integer polynomial s * x - q * y."""
+    out = [s * c for c in x]
+    if q and y:
+        out.extend([0] * (len(q) + len(y) - 1 - len(out)))
+        ys = [(j, c) for j, c in enumerate(y) if c]
+        for i, qc in enumerate(q):
+            if qc:
+                for j, c in ys:
+                    out[i + j] -= qc * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _reduce_row(a, u, i, k, pos=None):
+    """One row step in ``a`` and ``u``: row_i <- s * row_i - q * row_k on the
+    integer forms of both rows, over common denominators d_i and d_k.
+
+    s * a_i = q * a_k + r is the pseudo-division of the integer forms of the
+    entries at column ``pos``, so the step is Euclid's; without ``pos``,
+    s = d_k and q = -d_i, which adds row k to row i.  Row i of both is then
+    divided by the content of row i of ``a``, which tames coefficient swell.
+    As s > 0, the result is that of the rational row step followed by the
+    same division.
+    """
+    ri, di = _row_ints(a, u, i)
+    rk, dk = _row_ints(a, u, k)
+    if pos is None:
+        s, q = dk, [-di]
+    else:
+        s, q, _ = _pdivmod(ri[pos], rk[pos])
+    new = [_sub_mul(s, x, q, y) for x, y in zip(ri, rk)]
+    n = len(a[i])
+    g = math.gcd(*(c for cs in new[:n] for c in cs)) or s * di
+    a[i] = [_from_terms(enumerate(cs), g) for cs in new[:n]]
+    u[i] = [_from_terms(enumerate(cs), g) for cs in new[n:]]
 
 
 def _clear_column(a, u, pos):
@@ -776,8 +880,7 @@ def _clear_column(a, u, pos):
     True if a nonzero remainder (of smaller degree) became the pivot."""
     for i in range(pos + 1, len(a)):
         if a[i][pos]:
-            q, _ = divmod_poly(a[i][pos], a[pos][pos])
-            _reduce_row(a, u, i, pos, q)
+            _reduce_row(a, u, i, pos, pos)
             if a[i][pos]:
                 a[pos], a[i] = a[i], a[pos]
                 u[pos], u[i] = u[i], u[pos]
@@ -847,7 +950,7 @@ def smith_normal_form(
                     break
             if offender is None:
                 break
-            _reduce_row(a, u, pos, offender, -LaurentPoly.one())
+            _reduce_row(a, u, pos, offender)
 
     factors = []
     for pos in range(d):

@@ -45,6 +45,10 @@ from .presentation import (
 )
 
 MINOR_ENUMERATION_CAP = 10**6
+# Largest degree bound (see specialize_jacobian) that the exact core expands
+# into dense polynomials; about 18 times the bound of T(32,35), 1,120, the
+# largest input of the exact-scan benchmark.
+DEGREE_BUDGET = 20_000
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -55,6 +59,10 @@ VERDICT_UNKNOWN = "unknown"
 
 class InvalidEpimorphism(ValueError):
     pass
+
+
+class SizeBudgetExceeded(ValueError):
+    """The torsion polynomial may exceed :data:`DEGREE_BUDGET` in degree."""
 
 
 @dataclass(frozen=True)
@@ -88,18 +96,26 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
     X_j contributes -t^e after e shrinks by psi_j.  These are exactly the
     images of the Fox derivative terms +prefix and -prefix * X_j.
 
+    Every exponent met in a relator's row lies in the range of its running
+    weight, and that range contains 0; so the sum of the ranges over all
+    relators bounds the degree of every minor and of the torsion
+    polynomial, and the exponent width of the matrix that the Smith form
+    and the Bareiss pass expand.
+
     Raises :class:`InvalidEpimorphism` unless psi kills every relator and
-    is surjective.
+    is surjective, and :class:`SizeBudgetExceeded`, before any polynomial is
+    built, if that bound exceeds :data:`DEGREE_BUDGET`.
     """
     psi = tuple(int(x) for x in psi)
     reason = validate_epimorphism(pres, psi)
     if reason is not None:
         raise InvalidEpimorphism(reason)
     k = complexity_k(pres)
-    rows = []
+    raw = []
+    degree_bound = 0
     for r in pres.relators:
         cols: list[dict[int, int]] = [{} for _ in range(pres.num_generators)]
-        e = 0
+        e = lo = hi = 0
         for a in r:
             j = abs(a) - 1
             if a > 0:
@@ -108,8 +124,18 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
             else:
                 e -= psi[j]
                 cols[j][e] = cols[j].get(e, 0) - 1
-        rows.append(tuple(LaurentPoly(c) for c in cols))
-    jac = SpecializedJacobian(tuple(rows), psi, k, pres.num_generators)
+            if e < lo:
+                lo = e
+            elif e > hi:
+                hi = e
+        degree_bound += hi - lo
+        raw.append(cols)
+    if degree_bound > DEGREE_BUDGET:
+        raise SizeBudgetExceeded(
+            f"the torsion polynomial may reach degree {degree_bound}, "
+            f"past the budget of {DEGREE_BUDGET}")
+    rows = tuple(tuple(LaurentPoly(c) for c in cols) for cols in raw)
+    jac = SpecializedJacobian(rows, psi, k, pres.num_generators)
     if jac.total_norm() > k:
         raise InvariantViolation("specialization increased the Jacobian norm")
     return jac

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -200,6 +201,15 @@ def test_missing_file_exit_one(capsys):
 def test_arithmetic_error_exit_one(capsys):
     assert main(["sol-census", "--c", "1/0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_size_budget_exit_one(tmp_path, capsys):
+    f = tmp_path / "huge.pres"
+    f.write_text("gens: x, y\nrel: x^100000 Y^99999\n")
+    start = time.perf_counter()
+    assert main(["torsion", "--pres", str(f), "--psi", "99999,100000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: the torsion polynomial may reach degree")
 
 
 _NO_MPMATH = """

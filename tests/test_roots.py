@@ -173,3 +173,21 @@ def test_reports_cluster_centroid_within_tol_sqrt():
     assert len(roots) == 1 and roots[0][1] == 2
     assert abs(roots[0][0] - (1 + 5e-7)) < 1e-12
     assert certified(p, roots[0][0], TOL)
+
+
+def test_degree_60_planted_square_runs_yun():
+    # a random degree-60 polynomial with a squared factor: the mod-p test
+    # sees the repeated factor, so Yun's gcds over the integer kernel run
+    rng = random.Random(60)
+    def rand(deg):
+        cs = [rng.randint(-20, 20) for _ in range(deg)] + [rng.choice([2, 3, -5])]
+        cs[0] = cs[0] or 1
+        return LaurentPoly.from_coeffs(cs)
+    f, g = rand(15), rand(30)
+    p = f * f * g
+    q = [int(c) for c in p.dense()]
+    assert p.span() == 60 and not laurent_mod._squarefree_mod_p(q)
+    assert [m for _, m in laurent_mod._squarefree_factors(q)] == [1, 2]
+    roots = complex_roots(p, TOL)
+    match_oracle(p, roots)
+    assert sorted(m for _, m in roots) == [1] * 30 + [2] * 15

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from torsionpoly.laurent import (
 from torsionpoly.presentation import parse_presentation, enumerate_epimorphisms, root_bound_c
 from torsionpoly.torsion import (
     InvalidEpimorphism,
+    SizeBudgetExceeded,
     annulus_certify,
     scan,
     specialize_jacobian,
@@ -117,6 +119,43 @@ def test_specialization_norm_bound_on_random():
             assert jac.total_norm() <= jac.complexity
             checked += 1
     assert checked > 30
+
+
+# x^100000 y^-99999: the dense lists would hold about 10^10 coefficients
+HUGE_SPAN = "gens: x, y\nrel: x^100000 Y^99999\n"
+
+
+def test_size_budget_refuses_before_any_expansion():
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetExceeded, match="degree 9999900000"):
+        annulus_certify(parse_presentation(HUGE_SPAN), (99999, 100000))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_size_budget_boundary(monkeypatch):
+    # the trefoil's running psi-weight spans 0..3, so its bound is 3
+    monkeypatch.setattr(torsion_mod, "DEGREE_BUDGET", 3)
+    assert specialize_jacobian(TREFOIL, (1, 1)).num_relators == 1
+    monkeypatch.setattr(torsion_mod, "DEGREE_BUDGET", 2)
+    with pytest.raises(SizeBudgetExceeded):
+        specialize_jacobian(TREFOIL, (1, 1))
+
+
+def test_size_budget_bounds_the_degree(monkeypatch):
+    # a budget one below the true degree must refuse: the bound is never low
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(300):
+        pres = random_presentation(rng, max_gens=2, max_relators=1, max_len=12)
+        for psi in _all_valid_psis(pres):
+            span = torsion_polynomial(specialize_jacobian(pres, psi)).span()
+            if span:
+                monkeypatch.setattr(torsion_mod, "DEGREE_BUDGET", span - 1)
+                with pytest.raises(SizeBudgetExceeded):
+                    specialize_jacobian(pres, psi)
+                monkeypatch.undo()
+                checked += 1
+    assert checked > 10
 
 
 def _minor_gcd_direct(jac, r):
