@@ -14,7 +14,7 @@ equals that of plain rational arithmetic.
 Only :func:`complex_roots` is inexact.  It splits the polynomial exactly
 into square-free factors, locates the roots of each by the Aberth-Ehrlich
 iteration in machine ``complex``, polishes every root by Newton steps
-evaluated exactly, and certifies each reported value against a residual
+evaluated exactly, and certifies each reported value against a backward-error
 bound in exact arithmetic.  Only when that fails does the same route run
 in a private mpmath context at elevated precision; mpmath is imported
 there and nowhere else.
@@ -31,6 +31,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -383,6 +384,63 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return _canonical(a) if a else LaurentPoly.zero()
 
 
+_PRIME = 2**31 - 1  # the prime p of every computation mod p
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Euclid's gcd over F_p of residue lists with nonzero leading terms."""
+    p = _PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            r = a[-1] * inv % p
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - r * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def coprime(polys: list[LaurentPoly]) -> bool:
+    """True iff the nonzero ``polys`` have no common non-unit factor.
+
+    A common factor keeps its degree mod p in each integer form whose
+    leading coefficient p does not divide, so a constant gcd of those mod
+    p decides; otherwise the exact gcd does, and no prime misleads."""
+    forms = [[c % _PRIME for c in f] for f in map(_int_form, polys) if f and f[-1] % _PRIME]
+    if forms and len(functools.reduce(_gcd_mod_p, forms)) == 1:
+        return True
+    return functools.reduce(gcd, polys, LaurentPoly.zero()).is_unit()
+
+
+def value_mod_p(f: LaurentPoly, a: int) -> int:
+    """f(a) mod p, for a unit a mod p and denominators prime to p."""
+    p = _PRIME
+    return sum(c.numerator * pow(c.denominator, -1, p) * pow(a, e, p)
+               for e, c in f.coeffs.items()) % p
+
+
+def rank_det_mod_p(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) over F_p of a nonempty integer matrix by Gaussian
+    elimination; the determinant is 0 unless the matrix is square."""
+    p = _PRIME
+    m = [[x % p for x in row] for row in rows]
+    rk, det = 0, 1
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rk, len(m)) if m[i][c]), None)
+        if piv is not None:
+            m[rk], m[piv] = m[piv], m[rk]
+            det = det * (m[rk][c] if piv == rk else -m[rk][c]) % p
+            inv = pow(m[rk][c], -1, p)
+            for i in range(rk + 1, len(m)):
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rk])]
+            rk += 1
+    return rk, det if rk == len(m) == len(m[0]) else 0
+
+
 def reciprocal(p: LaurentPoly) -> LaurentPoly:
     """The polynomial with reversed coefficients; its nonzero roots are the
     inverses of the nonzero roots of ``p``."""
@@ -413,7 +471,6 @@ def _derivative(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({e - 1: e * c for e, c in p.coeffs.items()})
 
 
-_SQUAREFREE_PRIME = 2**31 - 1
 _POLISH_STEPS = 8
 
 
@@ -423,22 +480,10 @@ def _squarefree_mod_p(q: list[int]) -> bool:
     Then q is square-free over Q: when p > deg q does not divide the
     leading coefficient, a repeated factor of q survives reduction mod p.
     """
-    p = _SQUAREFREE_PRIME
+    p = _PRIME
     if len(q) > p or q[-1] % p == 0:
         return False
-    a = [c % p for c in q]
-    b = [i * c % p for i, c in enumerate(q)][1:]
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            r = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - r * c) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
+    return len(_gcd_mod_p([c % p for c in q], [i * c % p for i, c in enumerate(q)][1:])) == 1
 
 
 def _squarefree_factors(q: list[int]) -> list[tuple[list[int], int]]:
@@ -634,21 +679,29 @@ def _polish(f: list[int], z: complex) -> complex:
 
 
 def _certified(q: list[int], z: complex, tol: float) -> bool:
-    """The residual certificate |q(z)| <= tol * ||q||_1 * max(1, |z|)^deg,
-    squared and decided in integers; it is invariant under scaling q, so
-    it holds for q exactly when it holds for the monic normalization."""
+    """The backward-error certificate |q(z)| <= tol * sum |c_k| |z|^k, decided
+    in integers: for z = (a + ib) / 2^e and n = a^2 + b^2, 2^(e*deg) times
+    the sum is E + O sqrt(n), E and O summing the even and odd k."""
     a, b, e = _dyadic(z)
     (gr, gi), _ = _scaled_horner(q, a, b, e)
     t = Fraction(tol)
-    norm1 = sum(abs(c) for c in q)
-    return ((gr * gr + gi * gi) * t.denominator**2
-            <= (t.numerator * norm1) ** 2 * max(1 << 2 * e, a * a + b * b) ** (len(q) - 1))
+    n, deg = a * a + b * b, len(q) - 1
+    parts, w = [0, 0], 1
+    for k, c in enumerate(q):
+        parts[k % 2] += abs(c) * w << e * (deg - k)
+        if k % 2:
+            w *= n
+    even, odd = parts
+    # (gr^2 + gi^2) * den^2 <= num^2 * (E^2 + n O^2 + 2 E O sqrt(n))
+    excess = (gr * gr + gi * gi) * t.denominator**2 - t.numerator**2 * (even**2 + n * odd**2)
+    cross = 2 * t.numerator**2 * even * odd
+    return excess <= 0 or excess * excess <= cross * cross * n
 
 
 def _located_roots(numbers, p, q, factors, tol, seed):
     """The roots of p through one number context: Aberth per square-free
     factor, exact Newton polishing of each root, clustering at tol**0.5,
-    and the exact residual certificate on every reported value."""
+    and the exact backward-error certificate on every reported value."""
     found = []
     for f, mult in factors:
         polished = [_polish(f, complex(z)) for z in _aberth(numbers, f, seed)]
@@ -675,9 +728,8 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     unit in the last place, which takes one step unless the root is
     ill-conditioned.  Roots within tol**0.5 of each other are clustered (a
     cluster reports its centroid and summed multiplicity), and each
-    reported value z is certified exactly against
-    ``|phat(z)| <= tol * ||phat||_1 * max(1, |z|)^deg`` for the monic
-    normalization phat.
+    reported value z is certified exactly against the backward-error bound
+    ``|q(z)| <= tol * sum |c_k| |z|^k``.
 
     On a float overflow, non-convergence or a failed certificate the same
     route runs again in a private mpmath context at max(60, 2*deg + 30)

@@ -10,6 +10,11 @@ from torsionpoly.presentation import FinitePresentation, exponent_sum_matrix
 from torsionpoly.sl2z import mat_mul
 
 
+# 33 letters; the Q[t] Smith form took minutes on it, the minors a millisecond
+SWELL = "gens: x, y, z\nrel: x^-5 z^-5 y^6 y^-4 x^-2 x^7\nrel: x^-3 x^7 z^4 y^-6 z^-2\n"
+SWELL_PSI = (-13, -10, -4)
+
+
 def random_word(rng, num_gens, max_len):
     letters = [
         rng.choice([1, -1]) * rng.randint(1, num_gens)
@@ -77,3 +82,31 @@ def sympy_roots(p):
     x = sympy.Symbol("x")
     poly = sympy.Poly([int(c) for c in reversed(p.dense())], x)
     return [(r, m) for f, m in poly.sqf_list()[1] for r in sympy.Poly(f, x).nroots(n=30)]
+
+
+def sympy_minor_gcd(jac):
+    """Coefficients, ascending, of the canonical GCD of the largest nonzero
+    minors of a Jacobian with at most two relators, computed by sympy on
+    the entries times one common power of t."""
+    x = sympy.Symbol("x")
+    lo = min((q.min_exp for row in jac.entries for q in row if q), default=0)
+    m = [[sympy.Poly([int(c) for c in reversed(q.dense())] + [0] * (q.min_exp - lo)
+                     if q else [0], x) for q in row] for row in jac.entries]
+    if len(m) > 2:
+        raise ValueError("the oracle takes at most two relators")
+    minors = []
+    if len(m) == 2:
+        minors = [m[0][i] * m[1][j] - m[0][j] * m[1][i]
+                  for i, j in itertools.combinations(range(jac.num_generators), 2)]
+    if not any(minors):
+        minors = [q for row in m for q in row]
+    g = sympy.Poly(0, x)
+    for d in minors:
+        g = g.gcd(d)
+    if g.is_zero:
+        return [1]
+    cs = [int(c) for c in reversed(g.all_coeffs())]
+    cs = cs[next(i for i, c in enumerate(cs) if c):]
+    sign = 1 if cs[-1] > 0 else -1
+    content = math.gcd(*cs)
+    return [sign * c // content for c in cs]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import torsionpoly
-from helpers import sympy_roots
+from helpers import SWELL, sympy_roots
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
 from torsionpoly.laurent import LaurentPoly
@@ -229,6 +229,20 @@ def test_cli_runs_without_importing_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == ["['--certify-only'] False", "[] False"]
+
+
+def test_certify_only_finishes_on_coefficient_swell(tmp_path):
+    f = tmp_path / "swell.pres"
+    f.write_text(SWELL)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = "import sys; from torsionpoly.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", run, "torsion", "--pres", str(f),
+                           "--psi=-13,-10,-4", "--certify-only", "--json"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "pass" and len(doc["delta"]["coeffs"]) == 47
 
 
 def _fmt(x):

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from helpers import SWELL
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
 
@@ -41,6 +42,11 @@ def golden_commands():
                     ["mapping-torus", "--matrix", matrix, "--power", "3", "--json"], ""))
     out.append(("sol-census trace-bound 10", ["sol-census", "--trace-bound", "10", "--json"], ""))
     out.append(("sol-census c 7/2", ["sol-census", "--c", "7/2", "--json"], ""))
+    # the parent took minutes on this input; its delta was checked against
+    # sympy's GCD of the minors when the entry was added
+    out.append(("torsion coefficient swell",
+                ["torsion", "--pres", "-", "--psi=-13,-10,-4", "--certify-only", "--json"],
+                SWELL))
     return out
 
 

@@ -12,6 +12,7 @@ from torsionpoly.laurent import (
     LaurentPoly,
     cauchy_root_radius,
     complex_roots,
+    coprime,
     determinant,
     divmod_poly,
     exact_div,
@@ -19,9 +20,13 @@ from torsionpoly.laurent import (
     mat_mul,
     normalize,
     rank,
+    rank_det_mod_p,
     reciprocal,
     smith_normal_form,
+    value_mod_p,
 )
+
+P = 2**31 - 1
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -351,3 +356,36 @@ def test_reciprocal_inverts_roots():
 def test_exact_div_raises_on_inexact():
     with pytest.raises(ArithmeticError):
         exact_div(T + ONE, T - ONE)
+
+
+# -- arithmetic mod p = 2^31 - 1 ----------------------------------------------
+
+
+def test_coprime_never_misled_by_the_prime():
+    h = lp(1, P)  # P t + 1 vanishes mod p, so h is invisible there
+    assert not coprime([h, h * lp(3, 1)])
+    assert coprime([lp(1, P), lp(2, P)])  # no leading coefficient is a unit mod p
+    assert coprime([lp(1, 1), lp(1 + P, 1)])  # equal mod p, coprime over Q
+    assert not coprime([lp(1, 1), lp(1, 1) * lp(-2, 0, 1), ZERO])
+    assert coprime([lp(1, 1, start=-3), lp(2, 1, start=5)])
+    assert coprime([lp(Fraction(1, 2), 1), lp(-1, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.integers(1, 10**12))
+def test_value_mod_p_is_evaluation(p, a):
+    a = a % P or 1
+    expected = sum(c * Fraction(a) ** e for e, c in p.coeffs.items())
+    assert value_mod_p(p, a) == expected.numerator * pow(expected.denominator, -1, P) % P
+
+
+def test_rank_det_mod_p_matches_bareiss():
+    rng = random.Random(5)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            m[-1] = [2 * x for x in m[0]]
+        polys_m = [[LaurentPoly.constant(x) for x in row] for row in m]
+        det = int(determinant(polys_m).coeffs.get(0, 0)) % P if nrows == ncols else 0
+        assert rank_det_mod_p(m) == (rank(polys_m), det)

@@ -191,3 +191,15 @@ def test_degree_60_planted_square_runs_yun():
     roots = complex_roots(p, TOL)
     match_oracle(p, roots)
     assert sorted(m for _, m in roots) == [1] * 30 + [2] * 15
+
+
+def test_certificate_is_a_backward_error_bound():
+    # t^2 - 10^200 has roots +-1e100; far points must not pass however large
+    # the coefficients are, while the roots and the double nearest sqrt(2) do
+    q = [-10**200, 0, 1]
+    assert not laurent_mod._certified(q, 7e99 + 0j, TOL)
+    assert not laurent_mod._certified(q, 3.5e199 + 0j, TOL)
+    assert laurent_mod._certified(q, 1e100 + 0j, TOL)
+    assert laurent_mod._certified(q, -1e100 + 0j, TOL)
+    assert laurent_mod._certified([-2, 0, 1], complex(math.sqrt(2)), TOL)
+    assert not laurent_mod._certified([-2, 0, 1], complex(math.sqrt(2) * (1 + 1e-9)), TOL)

@@ -1,6 +1,7 @@
 """Specialization, torsion polynomials, and annulus certification."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -11,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 import torsionpoly
+import torsionpoly.laurent as laurent_mod
 import torsionpoly.torsion as torsion_mod
-from helpers import random_presentation
+from helpers import SWELL, SWELL_PSI, random_presentation, sympy_minor_gcd
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
-from torsionpoly.freegroup import fox_derivative
+from torsionpoly.freegroup import Word, fox_derivative
 from torsionpoly.laurent import (
     LaurentPoly,
     RootFindingError,
@@ -24,7 +26,13 @@ from torsionpoly.laurent import (
     normalize,
     reciprocal,
 )
-from torsionpoly.presentation import parse_presentation, enumerate_epimorphisms, root_bound_c
+from torsionpoly.presentation import (
+    FinitePresentation,
+    enumerate_epimorphisms,
+    exponent_sum_matrix,
+    parse_presentation,
+    root_bound_c,
+)
 from torsionpoly.torsion import (
     InvalidEpimorphism,
     SizeBudgetExceeded,
@@ -75,13 +83,17 @@ def test_specialized_entries_have_integer_coefficients():
                     assert all(c.denominator == 1 for c in q.coeffs.values())
 
 
-def test_minor_cap_falls_back_to_invariant_factors(monkeypatch):
-    import torsionpoly.torsion as torsion_mod
-
-    jac = specialize_jacobian(TREFOIL, (1, 1))
-    full = torsion_polynomial(jac)
-    monkeypatch.setattr(torsion_mod, "MINOR_ENUMERATION_CAP", 0)
-    assert torsion_polynomial(jac) == full
+def test_minor_cap_refuses(monkeypatch, tmp_path, capsys):
+    computed = []
+    monkeypatch.setattr(torsion_mod, "determinant", lambda rows: computed.append(rows))
+    monkeypatch.setattr(torsion_mod, "MINOR_ENUMERATION_CAP", 1)
+    with pytest.raises(SizeBudgetExceeded, match="2 minors of size 1 exceed the cap of 1"):
+        torsion_polynomial(specialize_jacobian(TREFOIL, (1, 1)))
+    f = tmp_path / "trefoil.pres"
+    f.write_text("gens: x, y\nrel: x y x Y X Y\n")
+    assert main(["torsion", "--pres", str(f), "--psi", "1,1", "--certify-only"]) == 1
+    assert capsys.readouterr().err.startswith("error: 2 minors of size 1 exceed the cap")
+    assert computed == []
 
 
 def test_specialize_rejects_invalid_psi():
@@ -329,31 +341,121 @@ def test_cli_torsion_and_scan_agree_on_root_failure(monkeypatch, tmp_path, capsy
 
 # -- invariants survive python -O --------------------------------------------
 
-_WRONG_SMITH = """
+_FAULTS = """
 import sys
 import torsionpoly.torsion as T
 from torsionpoly.laurent import InvariantViolation, LaurentPoly
 from torsionpoly.presentation import parse_presentation
 
-real = T.smith_normal_form
+T_PLUS_2 = LaurentPoly.t() + LaurentPoly.constant(2)
+real = {name: getattr(T, name) for name in ("determinant", "gcd", "rank")}
+seen = []
 
-def wrong(rows):
-    factors, uv = real(rows)
-    return [factors[0] * (LaurentPoly.t() + LaurentPoly.constant(2))] + factors[1:], uv
+def first_minor_times(rows):
+    seen.append(rows)
+    d = real["determinant"](rows)
+    return d * T_PLUS_2 if len(seen) == 1 else d
 
-T.smith_normal_form = wrong
-jac = T.specialize_jacobian(parse_presentation("gens: x, y\\nrel: x y x Y X Y\\n"), (1, 1))
-try:
-    T.torsion_polynomial(jac)
-except InvariantViolation as exc:
-    print(f"optimize={sys.flags.optimize} InvariantViolation: {exc}")
+faults = {
+    "one minor times (t+2)": ("determinant", first_minor_times),
+    "gcd times (t+2)": ("gcd", lambda a, b: real["gcd"](a, b) * T_PLUS_2),
+    "gcd replaced by 1": ("gcd", lambda a, b: LaurentPoly.one()),
+    "rank - 1": ("rank", lambda rows: real["rank"](rows) - 1),
+    "rank + 1": ("rank", lambda rows: real["rank"](rows) + 1),
+}
+text, psi = sys.argv[1], tuple(int(v) for v in sys.argv[2].split(","))
+jac = T.specialize_jacobian(parse_presentation(text), psi)
+print("unfaulted degree", T.torsion_polynomial(jac).span())
+for label, (name, wrong) in faults.items():
+    setattr(T, name, wrong)
+    try:
+        T.torsion_polynomial(jac)
+        print(f"{label}: not caught")
+    except InvariantViolation as exc:
+        print(f"optimize={sys.flags.optimize} {label}: {exc}")
+    setattr(T, name, real[name])
 """
 
 
 def test_invariant_violation_survives_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_SMITH], env=env,
+    psi = ",".join(str(v) for v in SWELL_PSI)
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS, SWELL, psi], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "optimize=1 InvariantViolation: minor-GCD and Smith routes disagree"
+    assert proc.stdout.splitlines() == [
+        "unfaulted degree 46",
+        "optimize=1 one minor times (t+2): a minor disagrees with its determinant mod p",
+        "optimize=1 gcd times (t+2): the minor GCD does not divide every minor",
+        "optimize=1 gcd replaced by 1: the minors share a factor beyond the minor GCD",
+        "optimize=1 rank - 1: the rank is below the rank at a point mod p",
+        "optimize=1 rank + 1: every minor of size 3 vanishes",
+    ]
+
+
+def test_certify_only_never_runs_smith(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("smith_normal_form called")
+
+    for module in (torsionpoly, laurent_mod, torsion_mod):
+        monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
+    for entry in THREE_MANIFOLD_CORPUS:
+        rep = annulus_certify(entry.presentation(), entry.psi, certify_only=True)
+        assert rep.verdict in ("pass", "vacuous"), entry.name
+
+
+# -- the minor GCD against sympy's GCD of the minors -------------------------
+
+# degree bound 10,758
+SWELL_LARGE = ("gens: x, y, z\nrel: y^6 z^11 y^-34 z^-16 z^-36 x^-8\n"
+               "rel: x^40 z^-31 z^-30 x^-38 z^38 z^12\n", (154, -85, 28))
+
+
+@pytest.mark.parametrize("text, psi, seconds", [(SWELL, SWELL_PSI, 1.0), (*SWELL_LARGE, 10.0)],
+                         ids=["swell", "swell-large"])
+def test_swell_inputs_match_sympy(text, psi, seconds):
+    pres = parse_presentation(text)
+    start = time.perf_counter()
+    rep = annulus_certify(pres, psi, certify_only=True)
+    assert time.perf_counter() - start < seconds
+    assert [int(c) for c in rep.delta.dense()] == sympy_minor_gcd(specialize_jacobian(pres, psi))
+
+
+def _syllable_draws(seed, count):
+    """Three generators, two relators of 2-6 syllables g^e with |e| <= 8 or
+    <= 30, psi the primitive cross product of the exponent-sum rows."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        bound = rng.choice((8, 30))
+        relators = []
+        for _ in range(2):
+            letters = []
+            for _ in range(rng.randint(2, 6)):
+                g, e = rng.randint(1, 3), rng.choice([v for v in range(-bound, bound + 1) if v])
+                letters += [g if e > 0 else -g] * abs(e)
+            relators.append(Word(letters))
+        if not all(relators):
+            continue
+        pres = FinitePresentation(("x", "y", "z"), tuple(relators))
+        (a1, a2, a3), (b1, b2, b3) = exponent_sum_matrix(pres)
+        cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        g = math.gcd(*cross)
+        if g:
+            out.append((pres, tuple(v // g for v in cross)))
+    return out
+
+
+def test_syllable_family_matches_sympy():
+    certified = refused = 0
+    for pres, psi in _syllable_draws(1, 24):
+        try:
+            rep = annulus_certify(pres, psi, certify_only=True)
+        except SizeBudgetExceeded:
+            refused += 1
+            continue
+        oracle = sympy_minor_gcd(specialize_jacobian(pres, psi))
+        assert [int(c) for c in rep.delta.dense()] == oracle, (pres, psi)
+        certified += 1
+    assert (certified, refused) == (23, 1)
