@@ -15,7 +15,7 @@ corresponding infinite cyclic cover; for other inputs the pipeline is
 still well-defined but carries no such topological meaning.
 """
 
-from .freegroup import GroupRingElement, Word, fox_derivative, norm_l1
+from .freegroup import GroupRingElement, Word, fox_derivative
 from .laurent import LaurentPoly, cauchy_root_radius, complex_roots, determinant, gcd, normalize, rank, smith_normal_form
 from .presentation import (
     FinitePresentation,
@@ -25,7 +25,6 @@ from .presentation import (
     enumerate_epimorphisms,
     exponent_sum_matrix,
     parse_presentation,
-    root_bound_c,
     serialize_presentation,
     validate_epimorphism,
 )
@@ -60,11 +59,9 @@ __all__ = [
     "exponent_sum_matrix",
     "fox_derivative",
     "gcd",
-    "norm_l1",
     "normalize",
     "parse_presentation",
     "rank",
-    "root_bound_c",
     "scan",
     "serialize_presentation",
     "smith_normal_form",

@@ -156,23 +156,11 @@ class GroupRingElement:
         r = Fraction(r)
         return GroupRingElement({w: c * r for w, c in self.terms.items()})
 
-    def coefficient_sum(self) -> Fraction:
-        """Image under the augmentation map (every word to 1)."""
-        return sum(self.terms.values(), Fraction(0))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "GroupRingElement(0)"
         parts = [f"{c}*{w!r}" for w, c in sorted(self.terms.items(), key=lambda t: t[0].letters)]
         return "GroupRingElement(" + " + ".join(parts) + ")"
-
-
-def norm_l1(alpha: GroupRingElement) -> Fraction:
-    """Sum of absolute values of the coefficients of ``alpha``.
-
-    Subadditive under addition and submultiplicative under multiplication.
-    """
-    return sum((abs(c) for c in alpha.terms.values()), Fraction(0))
 
 
 def fox_derivative(w: Word, gen: int) -> GroupRingElement:

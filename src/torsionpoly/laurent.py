@@ -11,13 +11,13 @@ primitive polynomial remainder sequence over Z.  ``Fraction``s are built
 only for the coefficients of a returned ``LaurentPoly``, so every result
 equals that of plain rational arithmetic.
 
-Only :func:`complex_roots` is inexact.  It splits the polynomial exactly
-into square-free factors, locates the roots of each by the Aberth-Ehrlich
-iteration in machine ``complex``, polishes every root by Newton steps
-evaluated exactly, and certifies each reported value against a backward-error
-bound in exact arithmetic.  Only when that fails does the same route run
-in a private mpmath context at elevated precision; mpmath is imported
-there and nowhere else.
+Only :func:`complex_roots` is inexact.  It strips cyclotomic factors by
+exact division and reports their roots of unity, splits the rest exactly
+into square-free factors whose roots the Aberth-Ehrlich iteration locates
+in machine ``complex``, polishes every root by exact Newton steps, and
+certifies each reported value against a backward-error bound, in doubles
+where a rounding-error bound proves it, else exactly.  Only when that fails
+does the rest run in a private mpmath context; mpmath is imported there only.
 
 Conventions
 -----------
@@ -194,21 +194,6 @@ class LaurentPoly:
         """Sum of absolute values of the coefficients."""
         d = _common_den(self)
         return Fraction(sum(abs(c.numerator) * (d // c.denominator) for c in self.coeffs.values()), d)
-
-    def eval_mp(self, z, ctx=None):
-        """Evaluate at an mpmath (or complex) number via Horner; ``ctx``
-        defaults to the global mpmath context."""
-        if ctx is None:
-            import mpmath
-
-            ctx = mpmath.mp
-        cs = self.dense()
-        if not cs:
-            return ctx.mpf(0)
-        acc = ctx.mpf(0)
-        for c in reversed(cs):
-            acc = acc * z + ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-        return acc * z ** self.min_exp
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.display()})"
@@ -512,6 +497,88 @@ def _squarefree_factors(q: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _phi_at_most(bound: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (n, phi(n)) with Euler's phi(n) <= bound, by ascending n,
+    built prime by prime from phi(prod p^a) = prod p^(a-1) (p - 1)."""
+    primes = [p for p in range(2, bound + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    out = [(1, 1)]
+    def extend(start, n, phi):
+        for j in range(start, len(primes)):
+            n_p, f = n * primes[j], phi * (primes[j] - 1)
+            if f > bound:
+                return
+            while f <= bound:
+                out.append((n_p, f))
+                extend(j + 1, n_p, f)
+                n_p, f = n_p * primes[j], f * primes[j]
+    extend(0, 1, 1)
+    return tuple(sorted(out))
+
+
+@functools.lru_cache(maxsize=512)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n, ascending: Phi_1 = t - 1 and, for the least prime p of n = p m,
+    Phi_n(t) = Phi_m(t^p) if p divides m, else Phi_m(t^p) / Phi_m(t)."""
+    if n == 1:
+        return (-1, 1)
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    inner = _cyclotomic(n // p)
+    stretched = [0] * ((len(inner) - 1) * p + 1)
+    stretched[::p] = inner
+    if n // p % p == 0:
+        return tuple(stretched)
+    _, quo, rem = _pdivmod(stretched, list(inner))
+    if rem:
+        raise InvariantViolation(f"Phi_{n // p}(t^{p}) is not divisible by Phi_{n // p}")
+    return tuple(quo)
+
+
+def _may_vanish_at_unit_root(q: list[int], n: int) -> bool:
+    """False only if q(e^(2 pi i/n)) != 0.  Were it zero, Horner's rule in
+    doubles at the rounded point (within 16 u of it, u = 2^-53, given a
+    libm cos and sin good to an ulp) would return at most about
+    22 d u sum |c_k| for degree d; the bound below is 5 times that."""
+    total = sum(map(abs, q))
+    if total.bit_length() > 1000:
+        return True
+    z, v = cmath.rect(1.0, 2 * math.pi / n), 0j
+    for c in reversed(q):
+        v = v * z + c
+    return abs(v) <= 2.0**-46 * len(q) * total
+
+
+def _cyclotomic_split(q: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Pairs (n, m) and ``rest`` with q == prod Phi_n^m * rest, no Phi_n
+    dividing ``rest``.  Each n with phi(n) <= deg q that the test in doubles
+    cannot rule out is divided exactly (``_pdivmod``, the kernel of
+    :func:`divmod_poly`); only a zero remainder strips Phi_n."""
+    found, rest = [], q
+    for n, phi in _phi_at_most(1 << (len(q) - 1).bit_length()):  # a power of two: few tables
+        m = 0
+        while phi < len(rest) and _may_vanish_at_unit_root(rest, n):
+            _, quo, rem = _pdivmod(rest, list(_cyclotomic(n)))
+            if rem:
+                break
+            rest, m = quo, m + 1
+        if m:
+            found.append((n, m))
+    return found, rest
+
+
+def _unit_roots(n: int) -> list[complex]:
+    """The primitive n-th roots of unity: +-1, +-i exact, the rest polished on Phi_n
+    from e^(2 pi i k/n), 0 < k < n/2, and conjugated (as exact Newton steps commute)."""
+    if n <= 2:
+        return [complex(1 if n == 1 else -1)]
+    phi, out = list(_cyclotomic(n)), []
+    for k in range(1, (n + 1) // 2):
+        if math.gcd(k, n) == 1:
+            z = 1j if 4 * k == n else _polish(phi, cmath.rect(1.0, 2 * math.pi * k / n))
+            out += [z, z.conjugate()]
+    return out
+
+
 class _Doubles:
     """Machine ``complex`` for :func:`_aberth`; an overflow raises."""
 
@@ -678,10 +745,43 @@ def _polish(f: list[int], z: complex) -> complex:
     )
 
 
+def _certified_in_doubles(q: list[int], z: complex, tol: float) -> bool:
+    """True only if |q(z)| <= tol * S, S = sum |c_k| |z|^k, provably holds.
+
+    Let d = deg q, u = 2^-53 and g_k = k u / (1 - k u), and require every
+    |c_k| <= 2^53 (exact doubles), c_0 c_d != 0 (so S >= max(1, |z|)^d),
+    2^-500 <= max(|Re z|, |Im z|) <= 2^500 and g_(5d+2) <= tol / 8.  Then
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1):
+    * r = sqrt(x^2 + y^2) in doubles is |z| (1 + e), |e| <= g_3.
+    * Horner's rule on |c_k| at r gives S' with |S' / S - 1| <= g_(5d+1):
+      (1 + g_3)^d from r, g_(2d) from rounding, at most u S from underflow.
+    * Horner's rule on c_k at z gives P with |P - q(z)| <= g_(4d+2) S: a
+      complex product rounds by at most sqrt(2) g_2 <= (1 + u)^3 - 1 (Lemma
+      3.5, also with a fused multiply-add), adding the real c_k rounds the
+      real part only, and underflow adds at most d 2^-1072 max(1, |z|)^d.
+    * An overflow leaves an infinity or a NaN in P or S', which refuses.
+    So |Re P| + |Im P| <= tol S' / 2, each side rounded within 1 +- u,
+    gives |q(z)| <= |P| + g S <= (0.51 + 0.125) tol S."""
+    deg, x, y = len(q) - 1, abs(z.real), abs(z.imag)
+    if ((80 * deg + 32) * 2.0**-53 > tol or not (q[0] and q[-1]) or max(map(abs, q)) > 2**53
+            or not 2.0**-500 <= max(x, y) <= 2.0**500):
+        return False
+    r = math.sqrt(x * x + y * y)
+    pv, scale = 0j, 0.0
+    for c in reversed(q):
+        pv = pv * z + c
+        scale = scale * r + abs(c)
+    return (cmath.isfinite(pv) and math.isfinite(scale)
+            and abs(pv.real) + abs(pv.imag) <= 0.5 * tol * scale)
+
+
 def _certified(q: list[int], z: complex, tol: float) -> bool:
-    """The backward-error certificate |q(z)| <= tol * sum |c_k| |z|^k, decided
-    in integers: for z = (a + ib) / 2^e and n = a^2 + b^2, 2^(e*deg) times
-    the sum is E + O sqrt(n), E and O summing the even and odd k."""
+    """The backward-error certificate |q(z)| <= tol * sum |c_k| |z|^k, in
+    doubles where :func:`_certified_in_doubles` proves it, else in integers:
+    for z = (a + ib) / 2^e and n = a^2 + b^2, 2^(e*deg) times the sum is
+    E + O sqrt(n), E and O summing the even and odd k."""
+    if _certified_in_doubles(q, z, tol):
+        return True
     a, b, e = _dyadic(z)
     (gr, gi), _ = _scaled_horner(q, a, b, e)
     t = Fraction(tol)
@@ -698,16 +798,14 @@ def _certified(q: list[int], z: complex, tol: float) -> bool:
     return excess <= 0 or excess * excess <= cross * cross * n
 
 
-def _located_roots(numbers, p, q, factors, tol, seed):
-    """The roots of p through one number context: Aberth per square-free
-    factor, exact Newton polishing of each root, clustering at tol**0.5,
-    and the exact backward-error certificate on every reported value."""
-    found = []
+def _located_roots(numbers, p, q, found, factors, tol, seed):
+    """The roots ``found`` so far and, through one number context, those of each
+    square-free factor (Aberth, exact polishing), clustered at tol**0.5 and certified."""
     for f, mult in factors:
         polished = [_polish(f, complex(z)) for z in _aberth(numbers, f, seed)]
         if len(set(polished)) < len(polished):
             raise RootFindingError(f"two iterates reached the same root of {p.display()}")
-        found += [(z, mult) for z in polished]
+        found = found + [(z, mult) for z in polished]
     out = _cluster(found, tol ** 0.5)
     for z, _ in out:
         if not _certified(q, z, tol):
@@ -719,36 +817,34 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     """All nonzero roots of ``p`` with multiplicities, sorted by (re, im).
 
     Factors of t and the rational content are stripped, and the primitive
-    integer polynomial q is split exactly into square-free factors f_i of
-    multiplicity i, so multiplicities come from algebra.  The roots of each
-    f_i are located by the Aberth-Ehrlich iteration in machine ``complex``.
-    A Newton step on f_i, evaluated exactly at the double iterate and
-    rounded once to the nearest double, gives the reported value; it is
-    repeated (at most 8 times) until a step moves the value by at most a
-    unit in the last place, which takes one step unless the root is
-    ill-conditioned.  Roots within tol**0.5 of each other are clustered (a
-    cluster reports its centroid and summed multiplicity), and each
-    reported value z is certified exactly against the backward-error bound
-    ``|q(z)| <= tol * sum |c_k| |z|^k``.
+    integer polynomial q is divided exactly into prod Phi_n^m * rest; each
+    primitive n-th root of unity is reported with multiplicity m, polished
+    on Phi_n.  ``rest`` is split exactly into square-free factors f_i of
+    multiplicity i, whose roots the Aberth-Ehrlich iteration locates in
+    machine ``complex`` and exact Newton steps on f_i polish.  Roots within
+    tol**0.5 of each other are clustered (a cluster reports its centroid
+    and summed multiplicity), and each reported value z is certified
+    against the backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``.
 
-    On a float overflow, non-convergence or a failed certificate the same
-    route runs again in a private mpmath context at max(60, 2*deg + 30)
-    digits; :class:`RootFindingError` is raised if that fails too.
+    On a float overflow, non-convergence or a failed certificate, ``rest``
+    (of degree d) goes through again in a private mpmath context at
+    max(60, 2*d + 30) digits; :class:`RootFindingError` if that fails too.
     """
     if not p:
         raise ValueError("cannot extract roots of the zero polynomial")
     if not (0 < tol <= 1e-4):
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     q = [int(c) for c in normalize(p).dense()]
-    deg = len(q) - 1
-    if deg == 0:
+    if len(q) == 1:
         return []
-    factors = _squarefree_factors(q)
+    cyclotomic, rest = _cyclotomic_split(q)
+    found = [(z, m) for n, m in cyclotomic for z in _unit_roots(n)]
+    factors = _squarefree_factors(rest) if len(rest) > 1 else []
     try:
-        out = _located_roots(_DOUBLES, p, q, factors, tol, seed)
+        out = _located_roots(_DOUBLES, p, q, found, factors, tol, seed)
     except (OverflowError, RootFindingError):
         try:
-            out = _located_roots(_MpNumbers(max(60, 2 * deg + 30)), p, q, factors, tol, seed)
+            out = _located_roots(_MpNumbers(max(60, 2 * (len(rest) - 1) + 30)), p, q, found, factors, tol, seed)
         except OverflowError as exc:
             raise RootFindingError(f"a root of {p.display()} lies outside the double range") from exc
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
@@ -756,8 +852,8 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
 
 
 def _cluster(roots, radius):
-    """Single-linkage clustering of (point, multiplicity) pairs; a cluster
-    reports its weighted centroid and summed multiplicity."""
+    """Single-linkage clustering of (point, multiplicity) pairs, swept by real part; a
+    cluster reports its weighted centroid (summed in input order) and summed multiplicity."""
     n = len(roots)
     parent = list(range(n))
 
@@ -767,9 +863,14 @@ def _cluster(roots, radius):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i][0] - roots[j][0]) <= radius:
+    order = sorted(range(n), key=lambda i: roots[i][0].real)
+    for a, i in enumerate(order):
+        zi = roots[i][0]
+        for b in range(a + 1, n):
+            j = order[b]
+            if roots[j][0].real - zi.real > radius * (1 + 2.0**-40):  # margin for abs()
+                break
+            if abs(zi - roots[j][0]) <= radius:
                 parent[find(i)] = find(j)
     groups: dict[int, list] = {}
     for i in range(n):
@@ -788,24 +889,7 @@ def _cluster(roots, radius):
 
 
 def mat_identity(n: int) -> list[list[LaurentPoly]]:
-    return [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mat_mul(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    out = []
-    for row in a:
-        out.append(
-            [
-                sum((row[k] * b[k][j] for k in range(len(b))), LaurentPoly.zero())
-                for j in range(len(b[0]) if b else 0)
-            ]
-        )
-    return out
+    return [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
 
 
 def _global_shift(rows):

@@ -284,12 +284,3 @@ def root_bound(m: int, k: int) -> Fraction:
     """The root-annulus constant 1 + m! * k^m for m generators and
     Fox-Jacobian l1 norm k."""
     return Fraction(1) + math.factorial(m) * Fraction(k) ** m
-
-
-def root_bound_c(pres: FinitePresentation) -> Fraction:
-    """The root-annulus constant :func:`root_bound` of this presentation.
-
-    An upper bound for the sharpest constant of the presented group, which
-    would additionally minimize k and m over presentations.
-    """
-    return root_bound(pres.num_generators, complexity_k(pres))

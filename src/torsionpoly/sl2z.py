@@ -6,8 +6,8 @@ unique up to cyclic rotation of the block sequence; trace < -2 classes are
 the negatives.  The enumeration is complete because the trace of a positive
 word is at least (sum of a_i * b_i) + 2, so the block weights of a
 trace-tau word are bounded by tau - 2.  That standard fact is not taken on
-faith: a brute-force conjugation BFS acts as an independent oracle and the
-test suite checks the two partitions agree.
+faith: the test suite checks the partition against a brute-force
+conjugation BFS, an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 R_MAT: Mat2 = ((1, 1), (0, 1))
 L_MAT: Mat2 = ((1, 0), (1, 1))
-
-SAME_CLASS = "same-class"
-DISTINCT = "distinct"
-INCONCLUSIVE = "inconclusive"
 
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -44,11 +40,6 @@ def mat_pow(x: Mat2, n: int) -> Mat2:
         base = mat_mul(base, base)
         n >>= 1
     return out
-
-
-def mat_inv(x: Mat2) -> Mat2:
-    """Inverse of a determinant-1 matrix (adjugate)."""
-    return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
 
 
 def trace(x: Mat2) -> int:
@@ -161,57 +152,6 @@ def classes_with_trace(tau: int) -> list[RLWord]:
         return [RLWord(w.blocks, -1) for w in classes_with_trace(-tau)]
     found = _positive_words_by_trace(tau).get(tau, set())
     return sorted(found, key=lambda w: w.blocks)
-
-
-def _bounded_orbit(start: Mat2, bound: int) -> dict[Mat2, Mat2]:
-    """Conjugates reachable from ``start`` through matrices with entries
-    bounded by ``bound`` in absolute value, conjugating by R, L and
-    inverses.  Maps each reached matrix m to a conjugator g with
-    g * start * g^-1 == m."""
-    gens = [R_MAT, L_MAT, mat_inv(R_MAT), mat_inv(L_MAT)]
-    seen: dict[Mat2, Mat2] = {start: ((1, 0), (0, 1))}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                cand = mat_mul(g, mat_mul(m, mat_inv(g)))
-                if cand in seen:
-                    continue
-                if max(abs(v) for row in cand for v in row) > bound:
-                    continue
-                seen[cand] = mat_mul(g, seen[m])
-                nxt.append(cand)
-        frontier = nxt
-    return seen
-
-
-def conjugacy_oracle(a: Mat2, b: Mat2, bound: int) -> str:
-    """Brute-force conjugacy test restricted to entries <= bound.
-
-    Trace is an exact class invariant, and a same-class verdict is backed
-    by an explicit conjugator found by BFS (checked before returning).
-    Disjoint completed bounded orbits are reported as distinct; the verdict
-    is inconclusive when an input matrix already violates the bound,
-    leaving no room to explore.
-    """
-    a = tuple(tuple(int(v) for v in row) for row in a)
-    b = tuple(tuple(int(v) for v in row) for row in b)
-    if trace(a) != trace(b) or det(a) != det(b):
-        return DISTINCT
-    if a == b:
-        return SAME_CLASS
-    if max(abs(v) for row in a for v in row) > bound or \
-       max(abs(v) for row in b for v in row) > bound:
-        return INCONCLUSIVE
-    for start, target in ((a, b), (b, a)):
-        orbit = _bounded_orbit(start, bound)
-        if target in orbit:
-            g = orbit[target]
-            if mat_mul(g, mat_mul(start, mat_inv(g))) != target:
-                raise InvariantViolation("BFS conjugator does not conjugate")
-            return SAME_CLASS
-    return DISTINCT
 
 
 def sol_candidates(c) -> list[tuple[int, list[RLWord]]]:

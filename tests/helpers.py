@@ -2,12 +2,17 @@
 
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import sympy
 
 from torsionpoly.freegroup import Word
-from torsionpoly.presentation import FinitePresentation, exponent_sum_matrix
-from torsionpoly.sl2z import mat_mul
+from torsionpoly.laurent import InvariantViolation, LaurentPoly
+from torsionpoly.presentation import (
+    FinitePresentation, complexity_k, exponent_sum_matrix, root_bound,
+)
+from torsionpoly.sl2z import L_MAT, R_MAT, Mat2, det, mat_mul, trace
 
 
 # 33 letters; the Q[t] Smith form took minutes on it, the minors a millisecond
@@ -110,3 +115,122 @@ def sympy_minor_gcd(jac):
     sign = 1 if cs[-1] > 0 else -1
     content = math.gcd(*cs)
     return [sign * c // content for c in cs]
+
+
+def norm_l1(alpha) -> Fraction:
+    """Sum of absolute values of the coefficients of a group-ring element;
+    subadditive under addition and submultiplicative under multiplication."""
+    return sum((abs(c) for c in alpha.terms.values()), Fraction(0))
+
+
+def root_bound_c(pres: FinitePresentation) -> Fraction:
+    """The root-annulus constant ``root_bound(m, k)`` of this presentation."""
+    return root_bound(pres.num_generators, complexity_k(pres))
+
+
+def laurent_mat_mul(a, b):
+    """The product of two matrices over Q[t, t^-1] (lists of rows)."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix shape mismatch")
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), LaurentPoly.zero())
+             for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+def eval_mp(p, z):
+    """p(z) by Horner's rule in the global mpmath context."""
+    acc = mpmath.mpf(0)
+    for c in reversed(p.dense()):
+        acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
+    return acc * z ** p.min_exp
+
+
+def cluster_all_pairs(roots, radius):
+    """Single-linkage clustering by comparing every pair: the reference for
+    the sweep in ``laurent._cluster``."""
+    n = len(roots)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(roots[i][0] - roots[j][0]) <= radius:
+                parent[find(i)] = find(j)
+    groups: dict[int, list] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(roots[i])
+    out = []
+    for members in groups.values():
+        if len(members) == 1:
+            out.append(members[0])
+        else:
+            mult = sum(m for _, m in members)
+            out.append((sum(z * m for z, m in members) / mult, mult))
+    return out
+
+
+# -- brute-force SL2(Z) conjugacy, the oracle for the positive-word census --
+
+SAME_CLASS = "same-class"
+DISTINCT = "distinct"
+INCONCLUSIVE = "inconclusive"
+
+
+def mat_inv(x: Mat2) -> Mat2:
+    """Inverse of a determinant-1 matrix (adjugate)."""
+    return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
+
+
+def _bounded_orbit(start: Mat2, bound: int) -> dict[Mat2, Mat2]:
+    """Conjugates reachable from ``start`` through matrices with entries
+    bounded by ``bound`` in absolute value, conjugating by R, L and
+    inverses.  Maps each reached matrix m to a conjugator g with
+    g * start * g^-1 == m."""
+    gens = [R_MAT, L_MAT, mat_inv(R_MAT), mat_inv(L_MAT)]
+    seen: dict[Mat2, Mat2] = {start: ((1, 0), (0, 1))}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                cand = mat_mul(g, mat_mul(m, mat_inv(g)))
+                if cand in seen:
+                    continue
+                if max(abs(v) for row in cand for v in row) > bound:
+                    continue
+                seen[cand] = mat_mul(g, seen[m])
+                nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
+def conjugacy_oracle(a: Mat2, b: Mat2, bound: int) -> str:
+    """Brute-force conjugacy test restricted to entries <= bound.
+
+    Trace is an exact class invariant, and a same-class verdict is backed
+    by an explicit conjugator found by BFS (checked before returning).
+    Disjoint completed bounded orbits are reported as distinct; the verdict
+    is inconclusive when an input matrix already violates the bound,
+    leaving no room to explore.
+    """
+    a = tuple(tuple(int(v) for v in row) for row in a)
+    b = tuple(tuple(int(v) for v in row) for row in b)
+    if trace(a) != trace(b) or det(a) != det(b):
+        return DISTINCT
+    if a == b:
+        return SAME_CLASS
+    if max(abs(v) for row in a for v in row) > bound or \
+       max(abs(v) for row in b for v in row) > bound:
+        return INCONCLUSIVE
+    for start, target in ((a, b), (b, a)):
+        orbit = _bounded_orbit(start, bound)
+        if target in orbit:
+            g = orbit[target]
+            if mat_mul(g, mat_mul(start, mat_inv(g))) != target:
+                raise InvariantViolation("BFS conjugator does not conjugate")
+            return SAME_CLASS
+    return DISTINCT

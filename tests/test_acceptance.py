@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_presentation, random_sl2z_matrix
+from helpers import conjugacy_oracle, random_presentation, random_sl2z_matrix
 from torsionpoly.bundles import (
     enumerate_candidate_charpolys,
     power_cover,
@@ -31,12 +31,7 @@ from torsionpoly.laurent import (
     smith_normal_form,
 )
 from torsionpoly.presentation import enumerate_epimorphisms
-from torsionpoly.sl2z import (
-    RLWord,
-    classes_with_trace,
-    conjugacy_oracle,
-    rl_to_matrix,
-)
+from torsionpoly.sl2z import RLWord, classes_with_trace, rl_to_matrix
 from torsionpoly.torsion import annulus_certify, scan, specialize_jacobian
 
 TOL = 1e-10

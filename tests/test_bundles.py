@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from helpers import random_sl2z_matrix
 from torsionpoly.bundles import (
     AlgebraicMonodromy,
+    _resultant_power,
     HomologyBundleData,
     charpoly,
     enumerate_candidate_charpolys,
@@ -186,3 +189,24 @@ def test_candidates_denominators():
     for p in cands:
         for coeff in p.dense():
             assert 4 % coeff.denominator == 0
+
+
+def test_resultant_power_matches_sympy():
+    # Res_lambda(p(lambda), lambda^n - t) is the determinant of the Sylvester
+    # matrix of p and lambda^n - t; sympy.resultant agrees up to its sign
+    # convention, which differs for some odd degrees
+    lam, t = sympy.symbols("lam t")
+    rng = random.Random(8)
+    for _ in range(10):
+        cs = [rng.randint(-6, 6) or 1] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 3))]
+        cs.append(rng.choice([1, -1, 2, 3]))
+        f = sympy.Poly(list(reversed(cs)), lam).as_expr()
+        for n in range(1, 6):
+            got = [int(c) for c in _resultant_power(lp(*cs), n).dense()]
+
+            def coeffs(expr):
+                return [int(c) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
+
+            assert got == coeffs(sylvester(f, lam**n - t, lam).det()), (cs, n)
+            ref = coeffs(sympy.resultant(f, lam**n - t, lam))
+            assert got in (ref, [-c for c in ref]), (cs, n)

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionpoly.freegroup import (
-    IDENTITY,
-    GroupRingElement,
-    Word,
-    fox_derivative,
-    norm_l1,
-)
+from helpers import norm_l1
+from torsionpoly.freegroup import IDENTITY, GroupRingElement, Word, fox_derivative
 
 X, Y = 1, 2  # letters for generators 0 and 1
 

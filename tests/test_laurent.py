@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import eval_mp, laurent_mat_mul
 from torsionpoly.laurent import (
     LaurentPoly,
     cauchy_root_radius,
@@ -17,7 +18,6 @@ from torsionpoly.laurent import (
     divmod_poly,
     exact_div,
     gcd,
-    mat_mul,
     normalize,
     rank,
     rank_det_mod_p,
@@ -258,7 +258,7 @@ def test_snf_certificate_and_minor_bridge():
         m = _random_matrix(rng, nrows, ncols)
         factors, (u, v) = smith_normal_form(m)
         # certificate: U*A*V diagonal with diagonal associate to the factors
-        d = mat_mul(mat_mul(u, m), v)
+        d = laurent_mat_mul(laurent_mat_mul(u, m), v)
         for i in range(nrows):
             for j in range(ncols):
                 if i != j:
@@ -301,7 +301,7 @@ def test_roots_quadratic_golden():
     assert abs(vals[0] - 0.3819660112501051) < 1e-10
     assert abs(vals[1] - 2.618033988749895) < 1e-10
     for z, _ in roots:
-        assert abs(p.eval_mp(z)) < 1e-9
+        assert abs(eval_mp(p, z)) < 1e-9
 
 
 def test_roots_unit_circle_pair():

@@ -1,12 +1,15 @@
 """Presentation parsing, complexity, and epimorphism enumeration."""
 
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_epimorphisms, random_presentation
+from helpers import brute_force_epimorphisms, norm_l1, random_presentation, root_bound_c
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
-from torsionpoly.freegroup import Word, fox_derivative, norm_l1
+from torsionpoly.freegroup import Word, fox_derivative
 from torsionpoly.presentation import (
     FinitePresentation,
     ParseError,
@@ -14,7 +17,6 @@ from torsionpoly.presentation import (
     enumerate_epimorphisms,
     exponent_sum_matrix,
     parse_presentation,
-    root_bound_c,
     serialize_presentation,
     validate_epimorphism,
 )
@@ -142,7 +144,7 @@ def test_exponent_matrix_is_augmented_jacobian():
         mat = exponent_sum_matrix(p)
         for i, r in enumerate(p.relators):
             for j in range(p.num_generators):
-                assert mat[i][j] == fox_derivative(r, j).coefficient_sum()
+                assert mat[i][j] == sum(fox_derivative(r, j).terms.values())
 
 
 def test_complexity_examples():
@@ -175,8 +177,6 @@ def test_root_bound_at_least_one():
 
 
 def test_parser_never_crashes_on_junk():
-    import warnings
-
     rng = random.Random(99)
     alphabet = "gens:rel xyzXYZ^-_09,\n\t #"
     for _ in range(300):
@@ -194,3 +194,28 @@ def test_presentation_rejects_bad_construction():
         FinitePresentation(("x", "x"), ())
     with pytest.raises(Exception):
         FinitePresentation(("x",), (Word([2]),))
+
+
+_NAMES = st.sampled_from(["x", "y", "z", "a1", "b_2", "X", "1x", "_y", "x y", ""])
+_TOKENS = st.tuples(st.sampled_from(["x", "y", "X", "Y", "z", "Z", "q", "x1", "", "^", "x^", "y^-"]),
+                    st.one_of(st.none(), st.integers(-40, 40).map(lambda k: f"^{k}"),
+                              st.sampled_from(["^", "^-", "^+1", "^1.5", "^x", "^^2"])))
+_LINES = st.one_of(
+    st.lists(_NAMES, max_size=4).map(lambda ns: "gens: " + ", ".join(ns)),
+    st.lists(_TOKENS.map(lambda t: t[0] + (t[1] or "")), max_size=6).map(lambda ts: "rel: " + " ".join(ts)),
+    st.text(alphabet="gens:rel xyXY^-,# \t", max_size=30),  # no digits: exponents stay small
+    st.sampled_from(["", "# comment", "gens:", "rel:", "gens x", "  rel: x # y"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_parser_fuzz_parses_or_raises_parse_error(lines):
+    text = "\n".join(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            pres = parse_presentation(text)
+        except ParseError:
+            return
+    assert parse_presentation(serialize_presentation(pres)) == pres

@@ -1,15 +1,24 @@
-"""Numeric roots against sympy as an independent oracle, the exact residual
-certificate, and the mpmath fallback of :func:`complex_roots`."""
+"""Numeric roots against sympy as an independent oracle, the exact
+cyclotomic split, the residual certificate in doubles and in integers,
+clustering, and the mpmath fallback of :func:`complex_roots`."""
 
+import cmath
+import itertools
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 
 import torsionpoly.laurent as laurent_mod
-from helpers import sympy_roots
+from helpers import cluster_all_pairs, sympy_roots
 from torsionpoly.laurent import LaurentPoly, RootFindingError, complex_roots
+from torsionpoly.presentation import parse_presentation
+from torsionpoly.torsion import annulus_certify
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -203,3 +212,164 @@ def test_certificate_is_a_backward_error_bound():
     assert laurent_mod._certified(q, -1e100 + 0j, TOL)
     assert laurent_mod._certified([-2, 0, 1], complex(math.sqrt(2)), TOL)
     assert not laurent_mod._certified([-2, 0, 1], complex(math.sqrt(2) * (1 + 1e-9)), TOL)
+
+
+# -- exact cyclotomic split ---------------------------------------------------
+
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+def ints(p):
+    return [int(c) for c in p.dense()]
+
+
+def sympy_split(q):
+    """(Counter of (n, m), rest) for the integer polynomial q (ascending), from
+    sympy's factorization over Z and ``Poly.is_cyclotomic``."""
+    x = sympy.Symbol("x")
+    content, factors = sympy.Poly(list(reversed(q)), x).factor_list()
+    found, rest = Counter(), sympy.Poly(content, x)
+    for f, m in factors:
+        if f.is_cyclotomic:
+            n = next(n for n in itertools.count(1) if sympy.Poly(sympy.cyclotomic_poly(n, x), x) == f)
+            found[n, m] += 1
+        else:
+            rest *= f ** m
+    return found, [int(c) for c in reversed(rest.all_coeffs())]
+
+
+def test_cyclotomic_split_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(40):
+        p = LaurentPoly.from_coeffs([rng.randint(-4, 4) or 1 for _ in range(rng.randint(1, 7))]
+                                    + [rng.choice([1, 2, -3])])
+        for n in rng.sample(range(1, 31), rng.randint(1, 4)):
+            p = p * LaurentPoly.from_coeffs(laurent_mod._cyclotomic(n)) ** rng.randint(1, 3)
+        q = [int(c) for c in laurent_mod.normalize(p).dense()]
+        found, rest = laurent_mod._cyclotomic_split(q)
+        assert (Counter(found), rest) == sympy_split(q), p.display()
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    x = sympy.Symbol("x")
+    for n in range(1, 121):
+        ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert list(laurent_mod._cyclotomic(n)) == [int(c) for c in reversed(ref)]
+
+
+def test_salem_factors_stay_in_rest():
+    # Lehmer's polynomial and t^4 - t^3 - t^2 - t + 1 are self-reciprocal with
+    # roots on the unit circle, but no root of unity among them
+    salem = [1, -1, -1, -1, 1]
+    for q in (LEHMER, salem, [1, -3, 1]):
+        assert laurent_mod._cyclotomic_split(q) == ([], q)
+    p = lp(*LEHMER) * lp(*salem) * lp(*laurent_mod._cyclotomic(7)) * lp(*laurent_mod._cyclotomic(12)) ** 2
+    found, rest = laurent_mod._cyclotomic_split(ints(p))
+    assert found == [(7, 1), (12, 2)]
+    assert rest == ints(lp(*LEHMER) * lp(*salem))
+    match_oracle(p, complex_roots(p, TOL))
+
+
+def test_exact_division_alone_decides_the_split(monkeypatch):
+    # with the test in doubles accepting every n, only zero remainders strip
+    cases = [lp(*LEHMER) * (T**12 - ONE), (T**30 - ONE) * (T - ONE) ** 2 * lp(5, 1, 0, 1),
+             lp(1, -3, 1) * lp(-2, 0, 1), T**7 - ONE]
+    expected = [(laurent_mod._cyclotomic_split(ints(p)), complex_roots(p, TOL)) for p in cases]
+    monkeypatch.setattr(laurent_mod, "_may_vanish_at_unit_root", lambda q, n: True)
+    for p, (split, roots) in zip(cases, expected):
+        assert laurent_mod._cyclotomic_split(ints(p)) == split
+        assert complex_roots(p, TOL) == roots
+
+
+def test_unit_roots_are_the_correctly_rounded_roots_of_unity():
+    for n in (1, 2, 3, 4, 5, 8, 12, 30, 97):
+        roots = laurent_mod._unit_roots(n)
+        assert len(roots) == len(laurent_mod._cyclotomic(n)) - 1
+        for z in roots:
+            k = round(cmath.phase(z) * n / (2 * math.pi)) % n
+            with mpmath.workdps(40):
+                exact = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+            assert math.gcd(k, n) == 1
+            assert z == complex(float(exact.real), float(exact.imag))
+
+
+# -- the certificate in doubles ---------------------------------------------
+
+
+def exact_certified(q, z, tol, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(laurent_mod, "_certified_in_doubles", lambda q, z, tol: False)
+        return laurent_mod._certified(q, z, tol)
+
+
+def test_double_certificate_accepts_only_what_the_exact_one_does(monkeypatch):
+    # random points, the roots, and points where |q(z)| is f * tol * S to
+    # first order (S = sum |c_k| |z|^k), f in [1/2, 2] or in [1/16, 1/2]
+    rng = random.Random(11)
+    accepted, decided = 0, Counter()
+    for _ in range(60):
+        q = [rng.randint(-50, 50) for _ in range(rng.randint(1, 25))] + [rng.randint(1, 9)]
+        q[0] = q[0] or 1
+        tol = rng.choice([1e-10, 1e-7, 1e-4])
+        roots = [r for r, _ in complex_roots(LaurentPoly.from_coeffs(q), 1e-10)]
+        points = roots + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
+        near = []
+        for r in roots:
+            _, slope, scale = laurent_mod._horner(q, r)
+            for f in (rng.uniform(0.5, 2), rng.uniform(1 / 16, 1 / 2)):
+                near.append(r + cmath.rect(f * tol * scale / abs(slope), rng.uniform(0, 2 * math.pi)))
+        for z in points + near:
+            exact = exact_certified(q, z, tol, monkeypatch)
+            if laurent_mod._certified_in_doubles(q, z, tol):
+                accepted += 1
+                assert exact, (q, z, tol)
+            if z in near:
+                decided[exact] += 1
+    assert accepted > 1000 and decided[True] > 800 and decided[False] > 400
+
+
+def test_large_coefficients_take_the_exact_path():
+    q = [-10**200, 0, 1]
+    assert not laurent_mod._certified_in_doubles(q, 1e100 + 0j, TOL)
+    assert laurent_mod._certified(q, 1e100 + 0j, TOL)
+    assert not laurent_mod._certified(q, 7e99 + 0j, TOL)
+    # past the degree the rounding bound allows at this tol, doubles decline too
+    assert not laurent_mod._certified_in_doubles([1] * 20 + [-1], 1 + 0j, 1e-15)
+    assert laurent_mod._certified_in_doubles([-2, 0, 1], complex(math.sqrt(2)), TOL)
+
+
+# -- clustering ---------------------------------------------------------------
+
+
+def test_sweep_clustering_matches_all_pairs():
+    rng = random.Random(5)
+    radius = 1e-5
+    for _ in range(200):
+        points = []
+        for _ in range(rng.randint(0, 25)):
+            kind = rng.random()
+            if kind < 0.3 and points:  # near-duplicate of an earlier point
+                z = rng.choice(points)[0] + cmath.rect(rng.uniform(0, 2 * radius), rng.uniform(0, 7))
+            elif kind < 0.5 and points:  # straddling the radius, same real part
+                z = rng.choice(points)[0] + complex(0, radius * rng.choice([1, 1 + 1e-16, 1 - 1e-16, 1.5]))
+            elif kind < 0.6 and points:  # straddling the radius along the real axis
+                z = rng.choice(points)[0] + radius * rng.choice([1, -1, 1 + 2**-52, 1 - 2**-52])
+            else:
+                z = complex(rng.choice([0.0, 1.0, rng.uniform(-2, 2)]), rng.uniform(-2, 2))
+            points.append((z, rng.randint(1, 3)))
+        assert laurent_mod._cluster(points, radius) == cluster_all_pairs(points, radius)
+
+
+# -- cost guard ---------------------------------------------------------------
+
+
+def test_high_degree_cyclotomic_inputs_are_fast():
+    start = time.perf_counter()
+    roots = complex_roots(T**420 - ONE, TOL)
+    assert time.perf_counter() - start < 5
+    assert len(roots) == 420 and all(m == 1 for _, m in roots)
+    pres = parse_presentation("gens: x, y\nrel: x^13 y^-30\n")
+    start = time.perf_counter()
+    rep = annulus_certify(pres, (30, 13))
+    assert time.perf_counter() - start < 5
+    assert rep.verdict == "pass" and sum(m for _, m in rep.roots) == 348

@@ -6,18 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import DISTINCT, INCONCLUSIVE, SAME_CLASS, conjugacy_oracle, mat_inv
 from torsionpoly.bundles import charpoly
 from torsionpoly.laurent import complex_roots
 from torsionpoly.sl2z import (
-    DISTINCT,
-    INCONCLUSIVE,
-    SAME_CLASS,
     RLWord,
     canonicalize,
     classes_with_trace,
-    conjugacy_oracle,
     inverse_class,
-    mat_inv,
     rl_to_matrix,
     sol_candidates,
     trace,

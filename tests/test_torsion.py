@@ -14,7 +14,7 @@ import pytest
 import torsionpoly
 import torsionpoly.laurent as laurent_mod
 import torsionpoly.torsion as torsion_mod
-from helpers import SWELL, SWELL_PSI, random_presentation, sympy_minor_gcd
+from helpers import SWELL, SWELL_PSI, random_presentation, root_bound_c, sympy_minor_gcd
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
 from torsionpoly.freegroup import Word, fox_derivative
@@ -31,7 +31,6 @@ from torsionpoly.presentation import (
     enumerate_epimorphisms,
     exponent_sum_matrix,
     parse_presentation,
-    root_bound_c,
 )
 from torsionpoly.torsion import (
     InvalidEpimorphism,
