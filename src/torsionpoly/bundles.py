@@ -26,7 +26,7 @@ from .laurent import (
     normalize,
     reciprocal,
 )
-from .presentation import FinitePresentation
+from .presentation import LETTER_CAP, FinitePresentation
 from .sl2z import det, mat_pow
 from .torsion import VERDICT_FAIL, annulus_margin_verdict, specialize_jacobian, torsion_polynomial
 
@@ -138,9 +138,13 @@ def mapping_torus_presentation(a) -> tuple[FinitePresentation, tuple[int, int, i
     Generators (a, b, s); relators [a,b] and s g s^-1 * phi(g)^-1 with the
     column-action convention phi(a) = a^A11 * b^A21, phi(b) = a^A12 * b^A22.
     The returned epimorphism sends only s to 1 (intersection with the fiber
-    class).
+    class).  ValueError if the entries sum in absolute value past
+    :data:`~torsionpoly.presentation.LETTER_CAP`, before any word is built.
     """
     m = _sl2z_matrix(a)
+    letters = sum(abs(x) for row in m for x in row)
+    if letters > LETTER_CAP:
+        raise ValueError(f"the matrix entries need {letters} letters, past the cap of {LETTER_CAP}")
     ga, gb, gs = Word([1]), Word([2]), Word([3])
     commutator = ga * gb * ~ga * ~gb
     phi_a = _power_word(0, m[0][0]) * _power_word(1, m[1][0])

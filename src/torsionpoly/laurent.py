@@ -1,15 +1,16 @@
 """Exact arithmetic and linear algebra over the ring Q[t, t^-1].
 
 The ring of rational Laurent polynomials is a principal ideal domain whose
-units are the monomials r*t^i (r a nonzero rational).  :class:`LaurentPoly`
-holds ``Fraction`` coefficients, but the exact core computes on an integer
-kernel: a polynomial is read once into a dense list of Python ints over a
-common denominator, and division, gcd, normalization, Cauchy radii and the
-Smith row steps run on such lists.  Division is one sparse pseudo-division
-that visits only the divisor's nonzero coefficients, and the gcd is a
-primitive polynomial remainder sequence over Z.  ``Fraction``s are built
-only for the coefficients of a returned ``LaurentPoly``, so every result
-equals that of plain rational arithmetic.
+units are the monomials r*t^i (r a nonzero rational).  A
+:class:`LaurentPoly` stores the form the integer kernel computes on: a
+lowest exponent, a dense tuple of Python ints and one positive common
+denominator (the layout of FLINT's ``fmpq_poly``).  Arithmetic, division,
+gcd, normalization, Cauchy radii, evaluation mod p and the Smith row steps
+all read and build that form, so no ``Fraction`` is made per coefficient
+and every result equals that of plain rational arithmetic.  Division is
+one sparse pseudo-division that visits only the divisor's nonzero
+coefficients, and the gcd is a primitive polynomial remainder sequence
+over Z.
 
 Only :func:`complex_roots` is inexact.  It strips cyclotomic factors by
 exact division and reports their roots of unity, splits the rest exactly
@@ -45,28 +46,39 @@ class InvariantViolation(AssertionError):
     """A proven invariant failed (a bug, not bad input); raised even under -O."""
 
 
+_set = object.__setattr__
+
+
 class LaurentPoly:
     """A Laurent polynomial with exact rational coefficients.
 
-    Stored sparsely as ``{exponent: coefficient}`` with no zero
-    coefficients; the zero polynomial is the empty mapping.
+    Stored as ``lo``, a tuple ``ints`` and a positive ``den``: the
+    coefficient of t^(lo+i) is ints[i] / den.  The form is canonical, so
+    equal polynomials have equal fields: the first and last entries of
+    ``ints`` are nonzero, gcd(den, *ints) == 1, and zero is (0, (), 1).
+    ``coeffs`` and :meth:`dense` are computed ``Fraction`` views.
 
     >>> t, one = LaurentPoly.t(), LaurentPoly.one()
     >>> (t - one) * (t + one) == t**2 - one
     True
+    >>> half = (t + one).scale(Fraction(1, 2))
+    >>> half.lo, half.ints, half.den
+    (0, (1, 1), 2)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("lo", "ints", "den")
 
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if c:
-                    clean[int(e)] = c
-        object.__setattr__(self, "coeffs", clean)
+    def __new__(cls, coeffs=None):
+        """The polynomial sum c * t^e over the pairs (e, c) of ``coeffs``."""
+        terms = {int(e): c if type(c) in (int, Fraction) else Fraction(c)
+                 for e, c in (coeffs or {}).items() if c}
+        if not terms:
+            return _poly(())
+        den, lo = math.lcm(*(c.denominator for c in terms.values())), min(terms)
+        ints = [0] * (max(terms) - lo + 1)
+        for e, c in terms.items():
+            ints[e - lo] = c.numerator * (den // c.denominator)
+        return _poly(ints, den, lo)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -75,55 +87,59 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _poly(())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: Fraction(1)})
+        return _poly((1,))
 
     @classmethod
     def constant(cls, r) -> "LaurentPoly":
-        return cls({0: Fraction(r)})
+        return cls.term(r, 0)
 
     @classmethod
     def term(cls, coeff, exp: int) -> "LaurentPoly":
-        return cls({exp: Fraction(coeff)})
+        r = Fraction(coeff)
+        return _poly((r.numerator,), r.denominator, exp)
 
     @classmethod
     def t(cls) -> "LaurentPoly":
-        return cls({1: Fraction(1)})
+        return _poly((1,), 1, 1)
 
     @classmethod
     def from_coeffs(cls, seq, start: int = 0) -> "LaurentPoly":
         """Build from an ascending coefficient list starting at exponent ``start``."""
-        return cls({start + i: Fraction(c) for i, c in enumerate(seq)})
+        return cls(dict(enumerate(seq, start)))
 
     # -- structure ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def is_unit(self) -> bool:
         """True iff this is r*t^i with r != 0."""
-        return len(self.coeffs) == 1
+        return len(self.ints) == 1
 
     @property
     def min_exp(self) -> int:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
+        return self.lo
 
     @property
     def max_exp(self) -> int:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
+        return self.lo + len(self.ints) - 1
 
     def span(self) -> int:
         """max_exp - min_exp; 0 for units and (by convention) for zero."""
-        if not self.coeffs:
-            return 0
-        return self.max_exp - self.min_exp
+        return max(len(self.ints) - 1, 0)
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The nonzero coefficients as ``{exponent: Fraction}``."""
+        return {self.lo + i: Fraction(c, self.den) for i, c in enumerate(self.ints) if c}
 
     def dense(self) -> list[Fraction]:
         """Ascending coefficients after shifting the lowest exponent to 0.
@@ -131,48 +147,39 @@ class LaurentPoly:
         The zero polynomial yields ``[]``; otherwise the constant entry is
         nonzero by construction.
         """
-        if not self.coeffs:
-            return []
-        lo, hi = self.min_exp, self.max_exp
-        out = [Fraction(0)] * (hi - lo + 1)
-        for e, c in self.coeffs.items():
-            out[e - lo] = c
-        return out
+        return [Fraction(c, self.den) for c in self.ints]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, LaurentPoly) and self.lo == other.lo
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.lo, self.ints, self.den))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        den = math.lcm(self.den, other.den)
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.lo + len(self.ints), other.lo + len(other.ints)) - lo)
+        for p in (self, other):
+            f, off = den // p.den, p.lo - lo
+            for i, c in enumerate(p.ints, off):
+                out[i] += c * f
+        return _poly(out, den, lo)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _poly(tuple(-c for c in self.ints), self.den, self.lo)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        da, db = _common_den(self), _common_den(other)
-        right = [(e, c.numerator * (db // c.denominator)) for e, c in other.coeffs.items()]
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            n1 = c1.numerator * (da // c1.denominator)
-            for e2, n2 in right:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + n1 * n2
-        return _from_terms(out.items(), da * db)
+        return _poly(_convolve(self.ints, other.ints), self.den * other.den, self.lo + other.lo)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -184,27 +191,25 @@ class LaurentPoly:
 
     def scale(self, r) -> "LaurentPoly":
         r = Fraction(r)
-        return LaurentPoly({e: c * r for e, c in self.coeffs.items()})
+        return _poly([c * r.numerator for c in self.ints], self.den * r.denominator, self.lo)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return _poly(self.ints, self.den, self.lo + k)
 
     def norm_l1(self) -> Fraction:
         """Sum of absolute values of the coefficients."""
-        d = _common_den(self)
-        return Fraction(sum(abs(c.numerator) * (d // c.denominator) for c in self.coeffs.values()), d)
+        return Fraction(sum(map(abs, self.ints)), self.den)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.display()})"
 
     def display(self, var: str = "t") -> str:
         """Human form in descending powers, e.g. ``t^2 - 3*t + 1``."""
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
+        for e, c in sorted(self.coeffs.items(), reverse=True):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if e == 0:
@@ -219,52 +224,46 @@ class LaurentPoly:
         return " ".join(parts)
 
 
+def _poly(ints, den: int = 1, lo: int = 0) -> LaurentPoly:
+    """The canonical form of sum ints[i] / den * t^(lo+i), for den > 0;
+    every LaurentPoly is built here."""
+    hi = len(ints)
+    while hi and not ints[hi - 1]:
+        hi -= 1
+    start = 0
+    while start < hi and not ints[start]:
+        start += 1
+    ints = tuple(ints[start:hi])
+    if not ints:
+        lo, den = 0, 1
+    elif den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints, den = tuple(c // g for c in ints), den // g
+    p = object.__new__(LaurentPoly)
+    _set(p, "lo", lo + start)
+    _set(p, "ints", ints)
+    _set(p, "den", den)
+    return p
+
+
 # -- the integer kernel: normalization, division, gcd, root bounds ------------
-# A polynomial is a dense ascending list of ints with no trailing zeros (the
-# zero polynomial is []), read from a LaurentPoly over a common denominator.
+# A polynomial is a dense ascending sequence of ints with no trailing zeros
+# (the zero polynomial is empty): the ``ints`` of a LaurentPoly, padded with
+# zeros below where an operation reads it from a lower exponent.
 
 
-def _common_den(*polys) -> int:
-    """The least common multiple of the coefficient denominators."""
-    d = 1
-    for p in polys:
-        for c in p.coeffs.values():
-            if c.denominator != 1:
-                d = math.lcm(d, c.denominator)
-    return d
-
-
-def _scaled_ints(p: LaurentPoly, d: int, lo: int) -> list[int]:
-    """The integer coefficients of d * p, ascending from exponent lo <= p.min_exp."""
-    if not p.coeffs:
+def _convolve(x, y) -> list[int]:
+    """The integer polynomial x * y; only nonzero coefficients are visited."""
+    if not (x and y):
         return []
-    out = [0] * (max(p.coeffs) - lo + 1)
-    for e, c in p.coeffs.items():
-        out[e - lo] = c.numerator * (d // c.denominator)
+    out = [0] * (len(x) + len(y) - 1)
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    for i, xc in enumerate(x):
+        if xc:
+            for j, c in ys:
+                out[i + j] += xc * c
     return out
-
-
-def _int_form(p: LaurentPoly) -> list[int]:
-    """The integer coefficients of p over its common denominator, ascending
-    from p.min_exp; a positive rational multiple of ``p.dense()``."""
-    return _scaled_ints(p, _common_den(p), p.min_exp) if p else []
-
-
-def _from_terms(terms, d: int = 1) -> LaurentPoly:
-    """The polynomial with coefficient c / d at exponent e for each pair
-    (e, c) of ``terms``; every coefficient the kernel returns is built here."""
-    if d == 1:
-        return LaurentPoly({e: Fraction(c) for e, c in terms if c})
-    return LaurentPoly({e: Fraction(c, d) for e, c in terms if c})
-
-
-def _canonical(cs: list[int]) -> LaurentPoly:
-    """The canonical associate of the nonzero integer polynomial cs."""
-    lo = next(i for i, c in enumerate(cs) if c)
-    g = math.gcd(*cs)
-    if cs[-1] < 0:
-        g = -g
-    return _from_terms(enumerate(c // g for c in cs[lo:]))
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -319,16 +318,23 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
     Lowest exponent 0, coprime integer coefficients, positive leading
     coefficient.  Associates normalize identically and units normalize to 1.
     """
-    return _canonical(_int_form(p)) if p else LaurentPoly.zero()
+    if not p:
+        return p
+    g = math.gcd(*p.ints) if p.ints[-1] > 0 else -math.gcd(*p.ints)
+    return _poly([c // g for c in p.ints])
+
+
+def _padded(p: LaurentPoly, lo: int):
+    """The ints of p read from exponent lo <= p.lo."""
+    return [0] * (p.lo - lo) + list(p.ints) if p.lo > lo else p.ints
 
 
 def _divide(a: LaurentPoly, b: LaurentPoly, lo_a: int, lo_b: int):
-    """(q, r, d) from one pseudo-division of the integer forms of a and b,
-    read from exponents lo_a and lo_b: the quotient is q / d and the
-    remainder r / d."""
-    da, db = _common_den(a), _common_den(b)
-    s, q, r = _pdivmod(_scaled_ints(a, da, lo_a), _scaled_ints(b, db, lo_b))
-    return [c * db for c in q], r, s * da
+    """(q, r, d) from one pseudo-division of the ints of a and b, read
+    from exponents lo_a and lo_b: the quotient is q / d and the remainder
+    r / d."""
+    s, q, r = _pdivmod(_padded(a, lo_a), _padded(b, lo_b))
+    return [c * b.den for c in q], r, s * a.den
 
 
 def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -341,7 +347,7 @@ def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     if (a and a.min_exp < 0) or b.min_exp < 0:
         raise ValueError("polynomial division requires nonnegative exponents")
     q, r, d = _divide(a, b, 0, 0)
-    return _from_terms(enumerate(q), d), _from_terms(enumerate(r), d)
+    return _poly(q, d), _poly(r, d)
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -350,10 +356,10 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q, r, d = _divide(a, b, a.min_exp, b.min_exp)
+    q, r, d = _divide(a, b, a.lo, b.lo)
     if r:
         raise ArithmeticError("inexact Laurent division")
-    return _from_terms(enumerate(q, a.min_exp - b.min_exp), d)
+    return _poly(q, d, a.lo - b.lo)
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -363,10 +369,10 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     It is computed as a primitive polynomial remainder sequence over Z:
     each pseudo-remainder is divided by its content before the next step.
     """
-    a, b = _primitive(_int_form(p)), _primitive(_int_form(q))
+    a, b = _primitive(p.ints), _primitive(q.ints)
     while b:
         a, b = b, _primitive(_pdivmod(a, b)[2])
-    return _canonical(a) if a else LaurentPoly.zero()
+    return normalize(_poly(a))
 
 
 _PRIME = 2**31 - 1  # the prime p of every computation mod p
@@ -394,17 +400,20 @@ def coprime(polys: list[LaurentPoly]) -> bool:
     A common factor keeps its degree mod p in each integer form whose
     leading coefficient p does not divide, so a constant gcd of those mod
     p decides; otherwise the exact gcd does, and no prime misleads."""
-    forms = [[c % _PRIME for c in f] for f in map(_int_form, polys) if f and f[-1] % _PRIME]
+    forms = [[c % _PRIME for c in f.ints] for f in polys if f and f.ints[-1] % _PRIME]
     if forms and len(functools.reduce(_gcd_mod_p, forms)) == 1:
         return True
     return functools.reduce(gcd, polys, LaurentPoly.zero()).is_unit()
 
 
 def value_mod_p(f: LaurentPoly, a: int) -> int:
-    """f(a) mod p, for a unit a mod p and denominators prime to p."""
+    """f(a) mod p, for a unit a mod p and a denominator prime to p: Horner's
+    rule on the ints, times a^lo / den."""
     p = _PRIME
-    return sum(c.numerator * pow(c.denominator, -1, p) * pow(a, e, p)
-               for e, c in f.coeffs.items()) % p
+    v = 0
+    for c in reversed(f.ints):
+        v = (v * a + c) % p
+    return v * pow(a, f.lo, p) * pow(f.den, -1, p) % p
 
 
 def rank_det_mod_p(rows: list[list[int]]) -> tuple[int, int]:
@@ -429,10 +438,7 @@ def rank_det_mod_p(rows: list[list[int]]) -> tuple[int, int]:
 def reciprocal(p: LaurentPoly) -> LaurentPoly:
     """The polynomial with reversed coefficients; its nonzero roots are the
     inverses of the nonzero roots of ``p``."""
-    if not p:
-        return LaurentPoly.zero()
-    hi = p.max_exp
-    return LaurentPoly({hi - e: c for e, c in p.coeffs.items()})
+    return _poly(p.ints[::-1], p.den)
 
 
 def cauchy_root_radius(p: LaurentPoly) -> Fraction:
@@ -444,16 +450,15 @@ def cauchy_root_radius(p: LaurentPoly) -> Fraction:
     """
     if not p:
         raise ValueError("the zero polynomial has no root radius")
-    cs = _int_form(p)
-    lead = abs(cs[-1])
-    return 1 + Fraction(sum(map(abs, cs)) - lead, lead)
+    lead = abs(p.ints[-1])
+    return 1 + Fraction(sum(map(abs, p.ints)) - lead, lead)
 
 
 # -- numeric roots: square-free split, Aberth, exact polishing ---------------
 
 
 def _derivative(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly({e - 1: e * c for e, c in p.coeffs.items()})
+    return _poly([e * c for e, c in enumerate(p.ints, p.lo)], p.den, p.lo - 1)
 
 
 _POLISH_STEPS = 8
@@ -481,7 +486,7 @@ def _squarefree_factors(q: list[int]) -> list[tuple[list[int], int]]:
     """
     if _squarefree_mod_p(q):
         return [(q, 1)]
-    f = LaurentPoly.from_coeffs(q)
+    f = _poly(q)
     a = gcd(f, _derivative(f))
     b = exact_div(f, a)
     d = exact_div(_derivative(f), a) - _derivative(b)
@@ -490,7 +495,7 @@ def _squarefree_factors(q: list[int]) -> list[tuple[list[int], int]]:
     while b.span():
         a = gcd(b, d)
         if a.span():
-            out.append(([int(c) for c in a.dense()], i))
+            out.append((list(a.ints), i))
         b = exact_div(b, a)
         d = exact_div(d, a) - _derivative(b)
         i += 1
@@ -688,7 +693,7 @@ def _aberth(numbers, f: list[int], seed: int) -> list:
             return z
         moving = still
     raise RootFindingError(
-        f"Aberth iteration did not converge for {LaurentPoly.from_coeffs(f).display()}"
+        f"Aberth iteration did not converge for {_poly(f).display()}"
     )
 
 
@@ -741,7 +746,7 @@ def _polish(f: list[int], z: complex) -> complex:
         if settled:
             return z
     raise RootFindingError(
-        f"exact Newton steps did not settle for {LaurentPoly.from_coeffs(f).display()}"
+        f"exact Newton steps did not settle for {_poly(f).display()}"
     )
 
 
@@ -834,7 +839,7 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
         raise ValueError("cannot extract roots of the zero polynomial")
     if not (0 < tol <= 1e-4):
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
-    q = [int(c) for c in normalize(p).dense()]
+    q = list(normalize(p).ints)
     if len(q) == 1:
         return []
     cyclotomic, rest = _cyclotomic_split(q)
@@ -895,12 +900,7 @@ def mat_identity(n: int) -> list[list[LaurentPoly]]:
 def _global_shift(rows):
     """min(0, smallest exponent over all nonzero entries): the shift into
     Q[t] that leaves entries already there, and so factors of t, alone."""
-    lo = 0
-    for row in rows:
-        for e in row:
-            if e:
-                lo = min(lo, e.min_exp)
-    return lo
+    return min([0] + [e.lo for row in rows for e in row if e])
 
 
 def _bareiss(rows, stop_at_missing_pivot: bool):
@@ -968,22 +968,16 @@ def _row_ints(a, u, i):
     """Row i of ``a`` followed by row i of ``u`` as integer polynomials from
     exponent 0 over one common denominator d; returns (polynomials, d)."""
     row = a[i] + u[i]
-    d = _common_den(*row)
-    return [_scaled_ints(e, d, 0) for e in row], d
+    d = math.lcm(*(e.den for e in row))
+    return [[c * (d // e.den) for c in _padded(e, 0)] for e in row], d
 
 
 def _sub_mul(s: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
     """The integer polynomial s * x - q * y."""
-    out = [s * c for c in x]
-    if q and y:
-        out.extend([0] * (len(q) + len(y) - 1 - len(out)))
-        ys = [(j, c) for j, c in enumerate(y) if c]
-        for i, qc in enumerate(q):
-            if qc:
-                for j, c in ys:
-                    out[i + j] -= qc * c
-    while out and not out[-1]:
-        out.pop()
+    prod = _convolve(q, y)
+    out = [s * c for c in x] + [0] * (len(prod) - len(x))
+    for i, c in enumerate(prod):
+        out[i] -= c
     return out
 
 
@@ -1007,8 +1001,8 @@ def _reduce_row(a, u, i, k, pos=None):
     new = [_sub_mul(s, x, q, y) for x, y in zip(ri, rk)]
     n = len(a[i])
     g = math.gcd(*(c for cs in new[:n] for c in cs)) or s * di
-    a[i] = [_from_terms(enumerate(cs), g) for cs in new[:n]]
-    u[i] = [_from_terms(enumerate(cs), g) for cs in new[n:]]
+    a[i] = [_poly(cs, g) for cs in new[:n]]
+    u[i] = [_poly(cs, g) for cs in new[n:]]
 
 
 def _clear_column(a, u, pos):
@@ -1093,9 +1087,8 @@ def smith_normal_form(
         piv = a[pos][pos]
         if not piv:
             break
-        lead = piv.coeffs[piv.max_exp]
-        scale = LaurentPoly.constant(1 / lead)
-        a[pos] = [scale * e for e in a[pos]]
-        u[pos] = [scale * e for e in u[pos]]
+        inv = Fraction(piv.den, piv.ints[-1])
+        a[pos] = [e.scale(inv) for e in a[pos]]
+        u[pos] = [e.scale(inv) for e in u[pos]]
         factors.append(a[pos][pos])
     return factors, (u, _transpose(vt))

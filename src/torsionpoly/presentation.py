@@ -27,6 +27,9 @@ _NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")
 _TOKEN_RE = re.compile(r"([A-Za-z][a-z0-9_]*)(?:\^(-?\d+))?$")
 
 _ENUMERATION_CAP = 10**7
+# Most letters a presentation may expand to (``x^k`` counts k), checked
+# before any power is expanded; also bounds mapping-torus relators.
+LETTER_CAP = 10**6
 
 
 class PresentationError(ValueError):
@@ -65,11 +68,14 @@ def parse_presentation(text: str) -> FinitePresentation:
     """Parse the presentation grammar; see the module docstring.
 
     Relators that reduce to the identity are dropped with a warning.
-    Raises :class:`ParseError` with line/column on malformed input.
+    Raises :class:`ParseError` with line/column on malformed input, and at
+    the first token that takes the expanded letter total past
+    :data:`LETTER_CAP`.
     """
     names: list[str] | None = None
     index: dict[str, int] = {}
     relators: list[Word] = []
+    total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -114,6 +120,10 @@ def parse_presentation(text: str) -> FinitePresentation:
                     raise ParseError("zero exponent", lineno, col)
                 if k < 0:
                     sign, k = -sign, -k
+                total += k
+                if total > LETTER_CAP:
+                    raise ParseError(f"the presentation expands to more than {LETTER_CAP} letters",
+                                     lineno, col)
                 letters.extend([sign * (index[name] + 1)] * k)
             w = Word(letters)
             if w:

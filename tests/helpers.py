@@ -144,6 +144,56 @@ def eval_mp(p, z):
     return acc * z ** p.min_exp
 
 
+# -- reference arithmetic on {exponent: Fraction} dicts, the oracle for LaurentPoly --
+
+
+def _ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def ref_scale(a, r):
+    return _ref_clean({e: c * r for e, c in a.items()})
+
+
+def ref_shift(a, k):
+    return {e + k: c for e, c in a.items()}
+
+
+def ref_reciprocal(a):
+    hi = max(a, default=0)
+    return {hi - e: c for e, c in a.items()}
+
+
+def ref_exact_div(a, b):
+    """a / b by long division on Fractions from the top term; raises
+    ArithmeticError unless b (nonzero) divides a in Q[t, t^-1]."""
+    rem, out = dict(a), {}
+    hb, lb = max(b), min(b)
+    while rem and max(rem) - min(rem) >= hb - lb:
+        e = max(rem)
+        q = rem[e] / b[hb]
+        out[e - hb] = q
+        rem = ref_add(rem, {f + e - hb: -q * c for f, c in b.items()})
+    if rem:
+        raise ArithmeticError("inexact reference division")
+    return out
+
+
 def cluster_all_pairs(roots, radius):
     """Single-linkage clustering by comparing every pair: the reference for
     the sweep in ``laurent._cluster``."""

@@ -1,0 +1,115 @@
+"""Inputs whose size would exhaust memory or time are refused up front:
+letters of a presentation, letters of a mapping-torus matrix, and the
+trace bound of the SL2(Z) census."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import torsionpoly
+from torsionpoly import bundles, presentation, sl2z
+from torsionpoly.cli import main
+from torsionpoly.presentation import ParseError, parse_presentation
+
+# Runs the CLI in a child whose address space is capped at 1 GiB, so an
+# expansion that slipped past a refusal fails fast instead of taking the host.
+_CAPPED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+    "from torsionpoly.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_capped(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# -- letters of a presentation ------------------------------------------------
+
+
+def test_parser_refuses_at_the_token_past_the_cap(monkeypatch):
+    monkeypatch.setattr(presentation, "LETTER_CAP", 10)
+    assert len(parse_presentation("gens: x, y\nrel: x^4 Y^6\n").relators[0]) == 10
+    with pytest.raises(ParseError, match="more than 10 letters") as exc:
+        parse_presentation("gens: x, y\nrel: x^4 Y^6\nrel: x y\n")
+    assert (exc.value.line, exc.value.col) == (3, 6)
+    with pytest.raises(ParseError) as exc:
+        parse_presentation("gens: x\nrel: x^5 x^6\n")
+    assert (exc.value.line, exc.value.col) == (2, 10)
+
+
+def test_parser_cap_counts_before_free_reduction(monkeypatch):
+    monkeypatch.setattr(presentation, "LETTER_CAP", 10)
+    with pytest.raises(ParseError, match="more than 10 letters"):
+        parse_presentation("gens: x\nrel: x^6 X^6\n")
+
+
+def test_letter_cap_exit_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(presentation, "LETTER_CAP", 50)
+    f = tmp_path / "long.pres"
+    f.write_text("gens: x, y\nrel: x^30 Y^30\n")
+    assert main(["torsion", "--pres", str(f), "--psi", "1,1"]) == 1
+    assert "line 2, column 11: the presentation expands to more than 50 letters" in capsys.readouterr().err
+
+
+def test_huge_exponent_refused_before_expanding(tmp_path):
+    f = tmp_path / "huge.pres"
+    f.write_text("gens: x\nrel: x^1000000000\n")
+    proc = run_capped("torsion", "--pres", str(f), "--psi", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 2, column 6: the presentation expands to more than")
+
+
+# -- letters of a mapping-torus matrix ---------------------------------------
+
+
+def test_mapping_torus_refuses_long_words(monkeypatch):
+    monkeypatch.setattr(bundles, "LETTER_CAP", 10)
+    pres, _ = bundles.mapping_torus_presentation([[2, 1], [1, 1]])
+    assert pres.num_generators == 3
+    with pytest.raises(ValueError, match="13 letters, past the cap of 10"):
+        bundles.mapping_torus_presentation([[5, 3], [3, 2]])
+
+
+def test_mapping_torus_cap_exit_one(monkeypatch, capsys):
+    monkeypatch.setattr(bundles, "LETTER_CAP", 10)
+    assert main(["mapping-torus", "--matrix", "5,3,3,2"]) == 1
+    assert "past the cap of 10" in capsys.readouterr().err
+
+
+def test_huge_matrix_refused_before_building_words():
+    proc = run_capped("mapping-torus", "--matrix", "1000000001,1000000000,1,1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the matrix entries need 2000000003 letters")
+
+
+# -- trace bound of the census ------------------------------------------------
+
+
+def test_census_refuses_trace_bound_past_cap(monkeypatch):
+    monkeypatch.setattr(sl2z, "CENSUS_TRACE_CAP", 10)
+    assert sl2z.classes_with_trace(10) and sl2z.sol_candidates(10)
+    for call, arg in ((sl2z.classes_with_trace, 11), (sl2z.classes_with_trace, -11),
+                      (sl2z.sol_candidates, 12)):
+        with pytest.raises(ValueError, match="exceeds the census cap of 10"):
+            call(arg)
+
+
+def test_census_cap_exit_one(monkeypatch, capsys):
+    monkeypatch.setattr(sl2z, "CENSUS_TRACE_CAP", 10)
+    assert main(["sol-census", "--trace-bound", "11"]) == 1
+    assert main(["sol-census", "--c", "12"]) == 1
+    assert capsys.readouterr().err.count("exceeds the census cap of 10") == 2
+
+
+def test_census_of_a_real_root_bound_refused():
+    proc = run_capped("sol-census", "--c", "98305")
+    assert proc.returncode == 1
+    assert "trace bound 98305 exceeds the census cap of 1000" in proc.stderr
+    assert run_capped("sol-census", "--trace-bound", "1001").returncode == 1
