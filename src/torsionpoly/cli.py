@@ -3,8 +3,8 @@
 Subcommands: ``torsion`` (one map to Z), ``scan`` (all maps up to a
 sup-norm bound), ``mapping-torus`` (characteristic-polynomial cross-checks
 and power covers), ``sol-census`` (hyperbolic monodromy census).  Exit
-codes: 0 pass/vacuous, 1 input error, 2 fail, 3 boundary-indeterminate or
-unknown.  JSON output is byte-deterministic for fixed inputs and seed.
+codes: 0 success, 1 input error or refusal, 2 a failed ``mapping-torus``
+cross-check.  JSON output is byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bundles import power_cover, verify_monodromy_torsion
+from .bundles import POWER_COVER_CAP, power_cover, verify_monodromy_torsion
 from .presentation import (
     ParseError,
     PresentationError,
@@ -27,30 +27,11 @@ from .sl2z import (
     rl_to_matrix,
     sol_candidates,
 )
-from .torsion import (
-    VERDICT_BOUNDARY,
-    VERDICT_FAIL,
-    VERDICT_PASS,
-    VERDICT_UNKNOWN,
-    VERDICT_VACUOUS,
-    AnnulusReport,
-    InvalidEpimorphism,
-    annulus_certify,
-    scan,
-)
+from .torsion import AnnulusReport, InvalidEpimorphism, annulus_certify, scan
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
-EXIT_INDETERMINATE = 3
-
-_VERDICT_EXIT = {
-    VERDICT_PASS: EXIT_OK,
-    VERDICT_VACUOUS: EXIT_OK,
-    VERDICT_FAIL: EXIT_FAIL,
-    VERDICT_BOUNDARY: EXIT_INDETERMINATE,
-    VERDICT_UNKNOWN: EXIT_INDETERMINATE,
-}
 
 
 def _fmt(x: float) -> str:
@@ -74,10 +55,8 @@ def _report_json(pres_text: str, rep: AnnulusReport) -> dict:
         "delta": _poly_json(rep.delta),
         "roots": [_root_json(z, m) for z, m in rep.roots],
         "verdict": rep.verdict,
-        "cauchy_radius": None if rep.cauchy_radius is None else str(rep.cauchy_radius),
-        "cauchy_radius_reciprocal": None
-        if rep.cauchy_radius_reciprocal is None
-        else str(rep.cauchy_radius_reciprocal),
+        "cauchy_radius": str(rep.cauchy_radius),
+        "cauchy_radius_reciprocal": str(rep.cauchy_radius_reciprocal),
         "exact_certified": rep.exact_certified,
         "failure": rep.failure,
     }
@@ -88,13 +67,12 @@ def _print_report_text(rep: AnnulusReport, out) -> None:
     print(f"k: {rep.complexity}", file=out)
     print(f"c: {rep.c}", file=out)
     print(f"delta: {rep.delta.display()}", file=out)
-    if rep.cauchy_radius is not None:
-        certified = "certified" if rep.exact_certified else "not decisive"
-        print(
-            f"cauchy radii: {rep.cauchy_radius} and {rep.cauchy_radius_reciprocal}"
-            f" vs c = {rep.c} -> {certified}",
-            file=out,
-        )
+    certified = "certified" if rep.exact_certified else "not decisive"
+    print(
+        f"cauchy radii: {rep.cauchy_radius} and {rep.cauchy_radius_reciprocal}"
+        f" vs c = {rep.c} -> {certified}",
+        file=out,
+    )
     for z, m in rep.roots:
         sign = "-" if z.imag < 0 else "+"
         print(
@@ -137,7 +115,7 @@ def cmd_torsion(args) -> int:
         print(json.dumps(_report_json(serialize_presentation(pres), rep), indent=2))
     else:
         _print_report_text(rep, sys.stdout)
-    return _VERDICT_EXIT[rep.verdict]
+    return EXIT_OK
 
 
 def cmd_scan(args) -> int:
@@ -160,8 +138,6 @@ def cmd_scan(args) -> int:
         for rep in reports:
             psi = ",".join(str(v) for v in rep.psi)
             print(f"psi {psi}: delta = {rep.delta.display()}; verdict {rep.verdict}")
-    if any(r.verdict == VERDICT_FAIL for r in reports):
-        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -170,10 +146,8 @@ def cmd_mapping_torus(args) -> int:
     if len(vals) != 4:
         raise ValueError("--matrix expects 4 integers a,b,c,d")
     mat = [[vals[0], vals[1]], [vals[2], vals[3]]]
-    if vals[0] * vals[3] - vals[1] * vals[2] != 1:
-        raise ValueError("matrix must have determinant 1")
-    if args.power < 1:
-        raise ValueError("--power must be >= 1")
+    if not 1 <= args.power <= POWER_COVER_CAP:
+        raise ValueError(f"--power must lie in 1..{POWER_COVER_CAP}, got {args.power}")
     tol = _check_tol(args.tol)
     check = verify_monodromy_torsion(mat)
     powers = [power_cover(mat, n, tol) for n in range(1, args.power + 1)]
@@ -273,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10, help="numeric root tolerance (default 1e-10)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--certify-only", action="store_true",
-                       help="exact certificates only; no floating point")
+                       help="skip the roots; no floating point")
         p.add_argument("--seed", type=int, default=0, help="determinism seed for the root finder")
 
     p = sub.add_parser("torsion", help="torsion polynomial and annulus verdict for one map to Z")
@@ -286,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mapping-torus", help="torus-bundle torsion vs characteristic polynomial, with power covers")
     p.add_argument("--matrix", required=True, help="a,b,c,d entries of a det-1 integer matrix")
-    p.add_argument("--power", type=int, default=1, help="check covers for powers 1..n")
+    p.add_argument("--power", type=int, default=1, help=f"check covers for powers 1..n, n <= {POWER_COVER_CAP}")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mapping_torus)

@@ -85,20 +85,20 @@ class RLWord:
 
 
 def rl_to_matrix(word: RLWord) -> Mat2:
-    """sign * product of R^a L^b blocks; determinant 1."""
-    out: Mat2 = ((1, 0), (0, 1))
+    """sign * product of the blocks R^a L^b = [[1 + ab, a], [b, 1]]; determinant 1."""
+    out: Mat2 = ((word.sign, 0), (0, word.sign))
     for a, b in word.blocks:
-        out = mat_mul(out, mat_mul(mat_pow(R_MAT, a), mat_pow(L_MAT, b)))
-    if word.sign < 0:
-        out = ((-out[0][0], -out[0][1]), (-out[1][0], -out[1][1]))
+        out = mat_mul(out, ((1 + a * b, a), (b, 1)))
     return out
+
+
+def _least_rotation(blocks: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    return min(blocks[i:] + blocks[:i] for i in range(len(blocks)))
 
 
 def canonicalize(word: RLWord) -> RLWord:
     """Lexicographically least cyclic rotation of the blocks; idempotent."""
-    k = len(word.blocks)
-    best = min(word.blocks[i:] + word.blocks[:i] for i in range(k))
-    return RLWord(best, word.sign)
+    return RLWord(_least_rotation(word.blocks), word.sign)
 
 
 def inverse_class(word: RLWord) -> RLWord:
@@ -111,8 +111,8 @@ def inverse_class(word: RLWord) -> RLWord:
     return canonicalize(RLWord(swapped, word.sign))
 
 
-def _positive_words_by_trace(tau_max: int) -> dict[int, set[RLWord]]:
-    """Canonical positive words bucketed by trace, for all traces <= tau_max.
+def _positive_words_by_trace(tau_max: int) -> dict[int, list[RLWord]]:
+    """Canonical positive words by trace, sorted by blocks, for traces <= tau_max.
 
     One depth-first sweep; appending a block strictly increases the trace
     and the trace of a word is monotone in each block exponent, so both the
@@ -121,9 +121,9 @@ def _positive_words_by_trace(tau_max: int) -> dict[int, set[RLWord]]:
     """
     if tau_max > CENSUS_TRACE_CAP:
         raise ValueError(f"trace bound {tau_max} exceeds the census cap of {CENSUS_TRACE_CAP}")
-    buckets: dict[int, set[RLWord]] = {}
+    buckets: dict[int, set] = {}
 
-    def extend(blocks, matrix):
+    def extend(blocks, weight, matrix):
         (p00, p01), (p10, p11) = matrix
         a = 1
         while p00 * (1 + a) + p01 + p10 * a + p11 <= tau_max:
@@ -133,18 +133,16 @@ def _positive_words_by_trace(tau_max: int) -> dict[int, set[RLWord]]:
                 if tr > tau_max:
                     break
                 grown = blocks + ((a, b),)
-                word = canonicalize(RLWord(grown, 1))
-                if word.weight() > tr - 2:
+                if weight + a * b > tr - 2:
                     raise InvariantViolation("positive word exceeds the trace weight bound")
-                buckets.setdefault(tr, set()).add(word)
+                buckets.setdefault(tr, set()).add(_least_rotation(grown))
                 if tr < tau_max:
-                    block = mat_mul(mat_pow(R_MAT, a), mat_pow(L_MAT, b))
-                    extend(grown, mat_mul(matrix, block))
+                    extend(grown, weight + a * b, mat_mul(matrix, ((1 + a * b, a), (b, 1))))
                 b += 1
             a += 1
 
-    extend((), ((1, 0), (0, 1)))
-    return buckets
+    extend((), 0, ((1, 0), (0, 1)))
+    return {tr: [RLWord(blocks) for blocks in sorted(found)] for tr, found in buckets.items()}
 
 
 def classes_with_trace(tau: int) -> list[RLWord]:
@@ -157,8 +155,7 @@ def classes_with_trace(tau: int) -> list[RLWord]:
         raise ValueError(f"trace {tau} is not hyperbolic")
     if tau < 0:
         return [RLWord(w.blocks, -1) for w in classes_with_trace(-tau)]
-    found = _positive_words_by_trace(tau).get(tau, set())
-    return sorted(found, key=lambda w: w.blocks)
+    return _positive_words_by_trace(tau).get(tau, [])
 
 
 def sol_candidates(c) -> list[tuple[int, list[RLWord]]]:
@@ -177,7 +174,7 @@ def sol_candidates(c) -> list[tuple[int, list[RLWord]]]:
     buckets = _positive_words_by_trace(top)
     out = []
     for tau in range(3, top + 1):
-        pos = sorted(buckets.get(tau, set()), key=lambda w: w.blocks)
+        pos = buckets.get(tau, [])
         out.append((tau, pos))
         out.append((-tau, [RLWord(w.blocks, -1) for w in pos]))
     return out

@@ -2,13 +2,13 @@
 
 Pipeline: specialize the Fox Jacobian of a presentation through the ring
 map sending a word w to t^(psi(w)), take the GCD of the r-rowed minors
-(r = rank, from a fraction-free Bareiss pass), and compare every nonzero
-root of the result against the annulus [1/c, c] for c = 1 + m! * k^m.
-The specialization walks each relator once with a running psi-weight, so
-no group-ring derivative is ever built.  The GCD is certified exactly,
-the minors and the rank are checked at one point mod a prime, and the
-annulus verdict prefers exact rational Cauchy-radius certificates over
-floating point.
+(r = rank, from a fraction-free Bareiss pass), and certify that every
+nonzero root of the result lies in the annulus [1/c, c] for
+c = 1 + m! * k^m.  The specialization walks each relator once with a
+running psi-weight, so no group-ring derivative is ever built.  The GCD is
+certified exactly, the minors and the rank are checked at one point mod a
+prime, and the annulus verdict follows exactly from the m!k^m bound on the
+minors; numeric roots are only reported, and checked against it.
 
 For presentations of 3-manifold groups the normalized GCD is the torsion
 polynomial of the corresponding infinite cyclic cover; for arbitrary
@@ -56,10 +56,7 @@ DEGREE_BUDGET = 20_000
 _CHECK_POINT = 16807  # a primitive root mod 2^31 - 1: no small-order cyclotomic vanishes
 
 VERDICT_PASS = "pass"
-VERDICT_FAIL = "fail"
-VERDICT_BOUNDARY = "boundary-indeterminate"
 VERDICT_VACUOUS = "vacuous"
-VERDICT_UNKNOWN = "unknown"
 
 
 class InvalidEpimorphism(ValueError):
@@ -152,8 +149,9 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     The result is 1 when r is zero.  Past :data:`MINOR_ENUMERATION_CAP`
     minors :class:`SizeBudgetExceeded` is raised before any is computed.
     The GCD is proved exactly: it divides every minor and the cofactors are
-    coprime.  Each minor must meet the m!k^m norm bound and equal its
-    submatrix's determinant at one point mod p, where the rank is at most
+    coprime.  Each minor must be an integer polynomial within the m!k^m
+    norm bound (the proof of :func:`annulus_certify`) and equal its
+    submatrix's determinant mod p at one point, where the rank is at most
     r; evaluation is a ring map, so :class:`InvariantViolation` means a bug.
     """
     r = rank(jac.entries)
@@ -171,6 +169,8 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     for ri in itertools.combinations(range(jac.num_relators), r):
         for ci in itertools.combinations(range(jac.num_generators), r):
             d = determinant([[jac.entries[i][j] for j in ci] for i in ri])
+            if d.den != 1:
+                raise InvariantViolation("a minor has a non-integer coefficient")
             if d.norm_l1() > coeff_bound:
                 raise InvariantViolation("minor exceeds the m!k^m coefficient bound")
             if value_mod_p(d, _CHECK_POINT) != rank_det_mod_p([[at[i][j] for j in ci] for i in ri])[1]:
@@ -201,8 +201,8 @@ class AnnulusReport:
     min_modulus: float | None
     max_modulus: float | None
     verdict: str
-    cauchy_radius: Fraction | None
-    cauchy_radius_reciprocal: Fraction | None
+    cauchy_radius: Fraction
+    cauchy_radius_reciprocal: Fraction
     exact_certified: bool
     failure: str | None = None
 
@@ -214,61 +214,48 @@ def _to_float(x: Fraction) -> float:
         return math.inf
 
 
-def annulus_margin_verdict(lo: float, hi: float, c: Fraction, tol: float) -> str:
-    """Numeric verdict for root moduli in [lo, hi] against the annulus
-    [1/c, c]: ``fail`` past a boundary by more than 10*tol,
-    ``boundary-indeterminate`` within 10*tol of one, else ``pass``."""
+def leaves_annulus(moduli: list[float], c: Fraction, tol: float) -> bool:
+    """Whether a root modulus leaves the annulus [1/c, c] by more than
+    10*tol, compared in floating point."""
     margin = 10 * tol
-    cf = _to_float(c)
-    inv_cf = _to_float(1 / c)
-    if hi > cf + margin or lo < inv_cf - margin:
-        return VERDICT_FAIL
-    if hi > cf - margin or lo < inv_cf + margin:
-        return VERDICT_BOUNDARY
-    return VERDICT_PASS
+    return max(moduli) > _to_float(c) + margin or min(moduli) < _to_float(1 / c) - margin
 
 
-def _certify(delta: LaurentPoly, psi, c: Fraction, k: int, tol: float,
-             certify_only: bool, seed: int) -> AnnulusReport:
-    if not delta or delta.is_unit():
-        radius = Fraction(1) if delta else None
-        return AnnulusReport(tuple(psi), delta, c, k, (), None, None,
-                             VERDICT_VACUOUS, radius, radius, bool(delta))
+def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
+                    certify_only: bool = False, seed: int = 0) -> AnnulusReport:
+    """Compute the torsion polynomial Delta of ``psi`` and certify its annulus.
+
+    The verdict is exact: ``vacuous`` when Delta is a unit, else ``pass``.
+    Proof: :func:`torsion_polynomial` checked that some r-minor is nonzero,
+    that Delta divides each nonzero one, d, and that d has integer
+    coefficients with ||d||_1 <= m!k^m = c - 1.  As |a_n| >= 1, Cauchy's
+    bound gives |z| <= 1 + max_{i<n} |a_i / a_n| <= ||d||_1 <= c - 1 for
+    every nonzero root z of d, and the same bound on the reversal gives
+    |z| >= 1/(c - 1); so every nonzero root of Delta lies inside [1/c, c].
+
+    The report carries Delta's own Cauchy radii; ``exact_certified`` says
+    both are at most c.  Unless ``certify_only``, roots are reported; one
+    that :func:`leaves_annulus` raises :class:`InvariantViolation`, and a
+    root-finder failure only sets ``failure``.
+    """
+    jac = specialize_jacobian(pres, psi)
+    delta = torsion_polynomial(jac)
+    c = root_bound(jac.num_generators, jac.complexity)
     upper = cauchy_root_radius(delta)
     upper_reciprocal = cauchy_root_radius(reciprocal(delta))
-    exact = upper <= c and upper_reciprocal <= c
-    report = AnnulusReport(tuple(psi), delta, c, k, (), None, None,
-                           VERDICT_PASS if exact else VERDICT_UNKNOWN,
-                           upper, upper_reciprocal, exact)
-    if certify_only:
+    report = AnnulusReport(jac.psi, delta, c, jac.complexity, (), None, None,
+                           VERDICT_VACUOUS if delta.is_unit() else VERDICT_PASS,
+                           upper, upper_reciprocal, upper <= c and upper_reciprocal <= c)
+    if certify_only or delta.is_unit():
         return report
     try:
         roots = tuple(complex_roots(delta, tol, seed))
     except RootFindingError as exc:
         return dataclasses.replace(report, failure=str(exc))
     mods = [abs(z) for z, _ in roots]
-    lo, hi = min(mods), max(mods)
-    verdict = VERDICT_PASS if exact else annulus_margin_verdict(lo, hi, c, tol)
-    return dataclasses.replace(report, roots=roots, min_modulus=lo, max_modulus=hi,
-                               verdict=verdict)
-
-
-def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
-                    certify_only: bool = False, seed: int = 0) -> AnnulusReport:
-    """Compute the torsion polynomial of ``psi`` and test its root annulus.
-
-    The verdict is ``pass`` whenever the exact rational certificate
-    (Cauchy radii of the polynomial and its reciprocal both at most c)
-    holds, regardless of numerics; otherwise numeric root moduli decide
-    through :func:`annulus_margin_verdict`.  With ``certify_only`` no
-    floating point runs and the verdict is pass, vacuous, or unknown.  A
-    root-finder failure does not raise: the report keeps the exact
-    certificates and records the failure message.
-    """
-    jac = specialize_jacobian(pres, psi)
-    delta = torsion_polynomial(jac)
-    c = root_bound(jac.num_generators, jac.complexity)
-    return _certify(delta, jac.psi, c, jac.complexity, tol, certify_only, seed)
+    if leaves_annulus(mods, c, tol):
+        raise InvariantViolation("a reported root leaves the proven annulus [1/c, c]")
+    return dataclasses.replace(report, roots=roots, min_modulus=min(mods), max_modulus=max(mods))
 
 
 def scan(pres: FinitePresentation, bound: int, tol: float = 1e-10,

@@ -1,6 +1,6 @@
 """Inputs whose size would exhaust memory or time are refused up front:
-letters of a presentation, letters of a mapping-torus matrix, and the
-trace bound of the SL2(Z) census."""
+letters of a presentation, letters of a mapping-torus matrix, the power
+of a mapping-torus cover, and the trace bound of the SL2(Z) census."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import torsionpoly
-from torsionpoly import bundles, presentation, sl2z
+from torsionpoly import bundles, cli, presentation, sl2z
 from torsionpoly.cli import main
 from torsionpoly.presentation import ParseError, parse_presentation
 
@@ -87,6 +87,33 @@ def test_huge_matrix_refused_before_building_words():
     proc = run_capped("mapping-torus", "--matrix", "1000000001,1000000000,1,1")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: the matrix entries need 2000000003 letters")
+
+
+# -- power of a mapping-torus cover ---------------------------------------------
+
+
+def test_power_cover_refuses_past_cap(monkeypatch):
+    monkeypatch.setattr(bundles, "POWER_COVER_CAP", 3)
+    assert bundles.power_cover([[2, 1], [1, 1]], 3).ok
+    with pytest.raises(ValueError, match=r"n must lie in 1\.\.3, got 4"):
+        bundles.power_cover([[2, 1], [1, 1]], 4)
+
+
+def test_power_cap_exit_one_before_any_cover(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the --power refusal")
+
+    monkeypatch.setattr(cli, "POWER_COVER_CAP", 3)
+    for name in ("verify_monodromy_torsion", "power_cover"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(["mapping-torus", "--matrix", "2,1,1,1", "--power", "4"]) == 1
+    assert "--power must lie in 1..3, got 4" in capsys.readouterr().err
+
+
+def test_huge_power_refused():
+    proc = run_capped("mapping-torus", "--matrix", "2,1,1,1", "--power", "1000")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --power must lie in 1..{bundles.POWER_COVER_CAP}, got 1000\n"
 
 
 # -- trace bound of the census ------------------------------------------------

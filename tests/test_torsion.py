@@ -12,15 +12,19 @@ from fractions import Fraction
 import pytest
 
 import torsionpoly
+import torsionpoly.bundles as bundles_mod
 import torsionpoly.laurent as laurent_mod
 import torsionpoly.torsion as torsion_mod
-from helpers import SWELL, SWELL_PSI, random_presentation, root_bound_c, sympy_minor_gcd
+from helpers import (
+    SWELL, SWELL_PSI, random_presentation, root_bound_c, sympy_minor_gcd, sympy_roots,
+)
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
 from torsionpoly.freegroup import Word, fox_derivative
 from torsionpoly.laurent import (
     LaurentPoly,
     RootFindingError,
+    complex_roots,
     determinant,
     gcd,
     normalize,
@@ -276,25 +280,59 @@ def test_specialization_matches_group_ring_oracle():
     assert checked > 100
 
 
-# -- every _certify verdict on synthetic polynomials -------------------------
+# -- the float filter, the exact verdict and the theorem behind it ----------
 
 
 @pytest.mark.parametrize(
-    "coeffs, c, certify_only, verdict, exact",
+    "coeffs, c, rejected",
     [
-        ((1, -3, 1), 3, False, "pass", False),  # roots 0.38 and 2.62 inside [1/3, 3]
-        ((-3, 1), 2, False, "fail", False),  # root 3 outside [1/2, 2]
-        ((-2, 1), 2, False, "boundary-indeterminate", False),  # root 2 on the boundary
-        ((-3, 1), 2, True, "unknown", False),  # certificate fails, no numerics
-        ((0, 0, 0, 5), 2, False, "vacuous", True),  # 5t^3 is a unit
+        ((1, -3, 1), 3, False),  # roots 0.38 and 2.62 inside [1/3, 3]
+        ((-3, 1), 2, True),  # root 3 outside [1/2, 2]
+        ((-2, 1), 2, False),  # root 2 on the boundary
     ],
+    ids=["pass", "fail", "boundary"],
 )
-def test_certify_verdicts(coeffs, c, certify_only, verdict, exact):
-    rep = torsion_mod._certify(lp(*coeffs), (1,), Fraction(c), 1, 1e-10, certify_only, 0)
-    assert rep.verdict == verdict
-    assert rep.exact_certified is exact
-    assert rep.failure is None
-    assert bool(rep.roots) == (verdict in ("pass", "fail", "boundary-indeterminate"))
+def test_leaves_annulus_and_candidate_filter(coeffs, c, rejected):
+    p, c = lp(*coeffs), Fraction(c)
+    mods = [abs(z) for z, _ in complex_roots(p, 1e-10)]
+    assert torsion_mod.leaves_annulus(mods, c, 1e-10) is rejected
+    assert bundles_mod._candidate_in_annulus(p, c) is not rejected
+
+
+def test_verdict_rests_on_the_minor_bound(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex_roots called under certify_only")
+
+    rep = annulus_certify(parse_presentation("gens: x\n"), (1,), certify_only=True)
+    assert (rep.verdict, rep.cauchy_radius, rep.exact_certified) == ("vacuous", 1, True)
+    monkeypatch.setattr(torsion_mod, "cauchy_root_radius", lambda p: Fraction(10**9))
+    rep = annulus_certify(TREFOIL, (1, 1))
+    assert (rep.verdict, rep.exact_certified, len(rep.roots)) == ("pass", False, 2)
+    monkeypatch.setattr(torsion_mod, "complex_roots", refuse)
+    verdicts = set()
+    for entry in THREE_MANIFOLD_CORPUS:
+        rep = annulus_certify(entry.presentation(), entry.psi, certify_only=True)
+        assert rep.roots == () and rep.min_modulus is None and not rep.exact_certified
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "vacuous"}
+
+
+def test_roots_lie_inside_the_minor_bound_annulus():
+    rng = random.Random(9)
+    cases = [(e.presentation(), e.psi) for e in THREE_MANIFOLD_CORPUS]
+    for _ in range(150):
+        pres = random_presentation(rng)
+        cases += [(pres, psi) for psi in enumerate_epimorphisms(pres, 2)]
+    checked = 0
+    for pres, psi in cases:
+        rep = annulus_certify(pres, psi, certify_only=True)
+        if rep.delta.is_unit():
+            continue
+        bound = int(rep.c - 1)
+        for z, _ in sympy_roots(rep.delta):
+            assert 1 <= abs(z) * bound and abs(z) <= bound, (pres, psi, z)
+        checked += 1
+    assert checked == 84
 
 
 # -- root-finder failure path ------------------------------------------------
@@ -390,6 +428,60 @@ def test_invariant_violation_survives_optimize():
         "optimize=1 gcd replaced by 1: the minors share a factor beyond the minor GCD",
         "optimize=1 rank - 1: the rank is below the rank at a point mod p",
         "optimize=1 rank + 1: every minor of size 3 vanishes",
+    ]
+
+
+_BOUND_FAULTS = """
+import sys
+from fractions import Fraction
+import torsionpoly.torsion as T
+from torsionpoly.laurent import InvariantViolation
+from torsionpoly.presentation import parse_presentation
+
+real = {name: getattr(T, name) for name in ("determinant", "complex_roots")}
+pres = parse_presentation(sys.argv[1])
+psi = tuple(int(v) for v in sys.argv[2].split(","))
+c = T.annulus_certify(pres, psi, certify_only=True).c
+
+def first_minor_times(factor):
+    seen = []
+    def wrong(rows):
+        d = real["determinant"](rows)
+        if d and not seen:
+            seen.append(rows)
+            return d.scale(factor)
+        return d
+    return wrong
+
+def roots_times_2c(p, tol, seed):
+    return [(z * float(2 * c), m) for z, m in real["complex_roots"](p, tol, seed)]
+
+faults = {
+    "one minor times c": ("determinant", first_minor_times(c)),
+    "one minor halved": ("determinant", first_minor_times(Fraction(1, 2))),
+    "roots times 2c": ("complex_roots", roots_times_2c),
+}
+for label, (name, wrong) in faults.items():
+    setattr(T, name, wrong)
+    try:
+        T.annulus_certify(pres, psi)
+        print(f"{label}: not caught")
+    except InvariantViolation as exc:
+        print(f"optimize={sys.flags.optimize} {label}: {exc}")
+    setattr(T, name, real[name])
+"""
+
+
+def test_annulus_invariants_survive_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BOUND_FAULTS, "gens: x, y\nrel: x y x Y X Y\n",
+                           "1,1"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize=1 one minor times c: minor exceeds the m!k^m coefficient bound",
+        "optimize=1 one minor halved: a minor has a non-integer coefficient",
+        "optimize=1 roots times 2c: a reported root leaves the proven annulus [1/c, c]",
     ]
 
 
