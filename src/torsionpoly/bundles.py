@@ -26,12 +26,11 @@ from .laurent import (
     normalize,
     reciprocal,
 )
-from .presentation import LETTER_CAP, FinitePresentation
+from .presentation import LETTER_CAP, POWER_COVER_CAP, FinitePresentation
 from .sl2z import det, mat_pow
 from .torsion import leaves_annulus, specialize_jacobian, torsion_polynomial
 
 CANDIDATE_SEARCH_CAP = 10**7
-POWER_COVER_CAP = 32  # --power 32 on [[2, 1], [1, 1]]: 1.3 s on 2 vCPUs; 48: over 4 s
 
 
 def _has_det_one(rows) -> bool:

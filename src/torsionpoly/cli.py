@@ -5,6 +5,8 @@ sup-norm bound), ``mapping-torus`` (characteristic-polynomial cross-checks
 and power covers), ``sol-census`` (hyperbolic monodromy census).  Exit
 codes: 0 success, 1 input error or refusal, 2 a failed ``mapping-torus``
 cross-check.  JSON output is byte-deterministic for fixed inputs and seed.
+``bundles`` and ``sl2z`` are imported inside the commands that run them, so
+a ``torsion`` or ``scan`` process never loads them.
 """
 
 from __future__ import annotations
@@ -14,18 +16,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .bundles import POWER_COVER_CAP, power_cover, verify_monodromy_torsion
 from .presentation import (
+    POWER_COVER_CAP,
     ParseError,
     PresentationError,
     parse_presentation,
     serialize_presentation,
-)
-from .sl2z import (
-    canonicalize,
-    inverse_class,
-    rl_to_matrix,
-    sol_candidates,
 )
 from .torsion import AnnulusReport, InvalidEpimorphism, annulus_certify, scan
 
@@ -149,6 +145,7 @@ def cmd_mapping_torus(args) -> int:
     if not 1 <= args.power <= POWER_COVER_CAP:
         raise ValueError(f"--power must lie in 1..{POWER_COVER_CAP}, got {args.power}")
     tol = _check_tol(args.tol)
+    from .bundles import power_cover, verify_monodromy_torsion
     check = verify_monodromy_torsion(mat)
     powers = [power_cover(mat, n, tol) for n in range(1, args.power + 1)]
     ok = check.ok and all(p.ok for p in powers)
@@ -183,6 +180,7 @@ def cmd_mapping_torus(args) -> int:
 
 
 def _census(args):
+    from .sl2z import sol_candidates
     if args.c is not None:
         c = Fraction(args.c)
         if c < 1:
@@ -196,6 +194,7 @@ def _census(args):
 
 
 def cmd_sol_census(args) -> int:
+    from .sl2z import canonicalize, inverse_class, rl_to_matrix
     c_str, bound, census = _census(args)
     if args.json:
         doc = {

@@ -18,12 +18,11 @@ topological reading is conditional on the input.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laurent import (
     InvariantViolation,
@@ -67,8 +66,7 @@ class SizeBudgetExceeded(ValueError):
     """The input exceeds :data:`DEGREE_BUDGET` or :data:`MINOR_ENUMERATION_CAP`."""
 
 
-@dataclass(frozen=True)
-class SpecializedJacobian:
+class SpecializedJacobian(NamedTuple):
     """Fox Jacobian with words specialized to powers of t.
 
     Entries have integer coefficients and their total l1 norm is at most
@@ -189,8 +187,7 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     return delta
 
 
-@dataclass(frozen=True)
-class AnnulusReport:
+class AnnulusReport(NamedTuple):
     """Outcome of testing one map to Z against the root annulus."""
 
     psi: tuple[int, ...]
@@ -251,11 +248,11 @@ def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
     try:
         roots = tuple(complex_roots(delta, tol, seed))
     except RootFindingError as exc:
-        return dataclasses.replace(report, failure=str(exc))
+        return report._replace(failure=str(exc))
     mods = [abs(z) for z, _ in roots]
     if leaves_annulus(mods, c, tol):
         raise InvariantViolation("a reported root leaves the proven annulus [1/c, c]")
-    return dataclasses.replace(report, roots=roots, min_modulus=min(mods), max_modulus=max(mods))
+    return report._replace(roots=roots, min_modulus=min(mods), max_modulus=max(mods))
 
 
 def scan(pres: FinitePresentation, bound: int, tol: float = 1e-10,

@@ -214,21 +214,34 @@ def test_size_budget_exit_one(tmp_path, capsys):
 
 _NO_MPMATH = """
 import io, sys
+preloaded = set(sys.modules)
 from torsionpoly import cli
-for flags in (["--certify-only"], []):
+UNUSED = ("torsionpoly.bundles", "torsionpoly.sl2z", "torsionpoly.corpus", "dataclasses", "mpmath")
+for argv in (["torsion", "--psi", "1,1", "--certify-only"], ["torsion", "--psi", "1,1"],
+             ["scan", "--bound", "2", "--certify-only"]):
     sys.stdin = io.StringIO("gens: x, y\\nrel: x y x Y X Y\\n")
-    assert cli.main(["torsion", "--pres", "-", "--psi", "1,1", "--json", *flags]) == 0
-    print(flags, "mpmath" in sys.modules, file=sys.stderr)
+    assert cli.main([*argv, "--pres", "-", "--json"]) == 0
+    print(*argv, [m for m in UNUSED if m in sys.modules and m not in preloaded], file=sys.stderr)
+assert cli.main(["mapping-torus", "--matrix", "2,1,1,1", "--power", "2"]) == 0
+assert cli.main(["sol-census", "--trace-bound", "5"]) == 0
+print(*(m in sys.modules for m in UNUSED[:2]), file=sys.stderr)
 """
 
 
 def test_cli_runs_without_importing_mpmath():
+    """torsion and scan load neither mpmath nor the bundles/sl2z/corpus
+    companions nor dataclasses; the companions' commands still run."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _NO_MPMATH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["['--certify-only'] False", "[] False"]
+    assert proc.stderr.splitlines() == [
+        "torsion --psi 1,1 --certify-only []",
+        "torsion --psi 1,1 []",
+        "scan --bound 2 --certify-only []",
+        "True True",
+    ]
 
 
 def test_certify_only_finishes_on_coefficient_swell(tmp_path):

@@ -105,9 +105,17 @@ def test_power_cap_exit_one_before_any_cover(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "POWER_COVER_CAP", 3)
     for name in ("verify_monodromy_torsion", "power_cover"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(bundles, name, refuse)
     assert main(["mapping-torus", "--matrix", "2,1,1,1", "--power", "4"]) == 1
     assert "--power must lie in 1..3, got 4" in capsys.readouterr().err
+
+
+def test_power_help_reads_the_one_cap(monkeypatch, capsys):
+    assert bundles.POWER_COVER_CAP is presentation.POWER_COVER_CAP is cli.POWER_COVER_CAP
+    monkeypatch.setattr(cli, "POWER_COVER_CAP", 3)
+    with pytest.raises(SystemExit):
+        main(["mapping-torus", "--help"])
+    assert "n <= 3" in " ".join(capsys.readouterr().out.split())
 
 
 def test_huge_power_refused():

@@ -13,6 +13,7 @@ from torsionpoly.freegroup import Word, fox_derivative
 from torsionpoly.presentation import (
     FinitePresentation,
     ParseError,
+    PresentationError,
     complexity_k,
     enumerate_epimorphisms,
     exponent_sum_matrix,
@@ -190,10 +191,28 @@ def test_parser_never_crashes_on_junk():
 
 
 def test_presentation_rejects_bad_construction():
-    with pytest.raises(Exception):
-        FinitePresentation(("x", "x"), ())
-    with pytest.raises(Exception):
-        FinitePresentation(("x",), (Word([2]),))
+    valid = FinitePresentation(("x",), (Word([1]),))
+    for names, relators, message in (
+        (("x", "x"), (), "duplicate generator name"),
+        (("x",), (Word([1, -1]),), "empty relator"),
+        (("x",), (Word([2]),), "undeclared generator"),
+    ):
+        with pytest.raises(PresentationError, match=message):
+            FinitePresentation(names, relators)
+        with pytest.raises(PresentationError, match=message):
+            valid._replace(generator_names=names, relators=relators)
+
+
+def test_presentation_is_an_immutable_value():
+    parsed = parse_presentation(TREFOIL)
+    built = FinitePresentation(("x", "y"), (Word([1, 2, 1, -2, -1, -2]),))
+    assert parsed == built and hash(parsed) == hash(built) and len({parsed, built}) == 1
+    assert parsed != FinitePresentation(("x", "y"), ())
+    assert parsed != FinitePresentation(("x", "z"), parsed.relators)
+    for name in ("generator_names", "relators", "num_generators", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(parsed, name, ())
+    assert parsed == built and parsed.num_generators == 2
 
 
 _NAMES = st.sampled_from(["x", "y", "z", "a1", "b_2", "X", "1x", "_y", "x y", ""])

@@ -354,6 +354,30 @@ def test_annulus_falls_back_on_root_failure(monkeypatch):
     assert rep.failure == "simulated non-convergence"
 
 
+def _differing(a, b) -> set:
+    return {name for name, value in a._asdict().items() if getattr(b, name) != value}
+
+
+def test_full_and_certify_only_reports_differ_only_in_the_roots():
+    differences = set()
+    for entry in THREE_MANIFOLD_CORPUS:
+        pres = entry.presentation()
+        full = annulus_certify(pres, entry.psi)
+        exact = annulus_certify(pres, entry.psi, certify_only=True)
+        differing = _differing(full, exact)
+        assert differing == (set() if full.delta.is_unit() else {"roots", "min_modulus", "max_modulus"})
+        differences.add(frozenset(differing))
+    assert len(differences) == 2
+
+
+def test_root_failure_report_keeps_every_other_field(monkeypatch):
+    exact = annulus_certify(TREFOIL, (1, 1), certify_only=True)
+    _failing_roots(monkeypatch)
+    rep = annulus_certify(TREFOIL, (1, 1))
+    assert _differing(rep, exact) == {"failure"}
+    assert rep._replace(failure=None) == exact
+
+
 def test_scan_reports_root_failure_per_map(monkeypatch):
     exact = scan(TORUS, 1, certify_only=True)
     _failing_roots(monkeypatch)
