@@ -13,12 +13,16 @@ coefficients, and the gcd is a primitive polynomial remainder sequence
 over Z.
 
 Only :func:`complex_roots` is inexact.  It strips cyclotomic factors by
-exact division and reports their roots of unity, splits the rest exactly
+exact division and reports their roots of unity in closed form (a
+fixed-point sine and cosine, correctly rounded), splits the rest exactly
 into square-free factors whose roots the Aberth-Ehrlich iteration locates
-in machine ``complex``, polishes every root by exact Newton steps, and
-certifies each reported value against a backward-error bound, in doubles
-where a rounding-error bound proves it, else exactly.  Only when that fails
-does the rest run in a private mpmath context; mpmath is imported there only.
+in machine ``complex`` from start points on the Newton polygon, polishes
+every such root by Newton steps that round as the exact step does (in
+fixed point where its error bound decides, else exactly), reports a root
+as real where a sign change proves it, and certifies each reported value
+but a lone root of unity against a backward-error bound, in doubles where
+a rounding-error bound proves it, else exactly.  Only when that fails does
+the rest run in a private mpmath context; mpmath is imported there only.
 
 Conventions
 -----------
@@ -34,7 +38,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import random
 from fractions import Fraction
 
 
@@ -462,6 +465,7 @@ def _derivative(p: LaurentPoly) -> LaurentPoly:
 
 
 _POLISH_STEPS = 8
+_FIXED_STEP_LENGTH = 21  # coefficients past which a fixed-point Newton step beats the exact one
 
 
 def _squarefree_mod_p(q: list[int]) -> bool:
@@ -539,14 +543,19 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-def _may_vanish_at_unit_root(q: list[int], n: int) -> bool:
-    """False only if q(e^(2 pi i/n)) != 0.  Were it zero, Horner's rule in
-    doubles at the rounded point (within 16 u of it, u = 2^-53, given a
-    libm cos and sin good to an ulp) would return at most about
-    22 d u sum |c_k| for degree d; the bound below is 5 times that."""
-    total = sum(map(abs, q))
+def _may_vanish_at_unit_root(rest: tuple[list[int], int], n: int) -> bool:
+    """False only if q(e^(2 pi i/n)) != 0, for ``rest`` = (q, ||q||_1).
+
+    Past degree n, q is first folded exactly modulo t^n - 1, which keeps its
+    value at e^(2 pi i/n) and does not raise ||q||_1.  Were that value zero,
+    Horner's rule in doubles at the rounded point (within 16 u of it,
+    u = 2^-53, given a libm cos and sin good to an ulp) would return at most
+    about 22 d u ||q||_1 for degree d; the bound below is 5 times that."""
+    q, total = rest
     if total.bit_length() > 1000:
         return True
+    if 4 * n <= len(q):
+        q = [sum(q[j::n]) for j in range(n)]
     z, v = cmath.rect(1.0, 2 * math.pi / n), 0j
     for c in reversed(q):
         v = v * z + c
@@ -559,28 +568,79 @@ def _cyclotomic_split(q: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
     cannot rule out is divided exactly (``_pdivmod``, the kernel of
     :func:`divmod_poly`); only a zero remainder strips Phi_n."""
     found, rest = [], q
+    norm = sum(map(abs, rest))
     for n, phi in _phi_at_most(1 << (len(q) - 1).bit_length()):  # a power of two: few tables
         m = 0
-        while phi < len(rest) and _may_vanish_at_unit_root(rest, n):
+        while phi < len(rest) and _may_vanish_at_unit_root((rest, norm), n):
             _, quo, rem = _pdivmod(rest, list(_cyclotomic(n)))
             if rem:
                 break
             rest, m = quo, m + 1
+            norm = sum(map(abs, rest))
         if m:
             found.append((n, m))
     return found, rest
 
 
+_FIX = 100  # fractional bits of the fixed-point sine and cosine
+_PI_FIX = 0x3243F6A8885A308D313198A2E0  # floor(pi * 2^100)
+_UNIT_ROOT_SLACK = 64  # bound on their error, in units of 2^-100
+
+
+def _sin_cos_turns(num: int, den: int) -> tuple[float, float] | None:
+    """sin and cos of 2 pi num/den, 0 < num/den <= 1/8, correctly rounded,
+    or None when the error interval holds a rounding boundary.
+
+    In fixed point with T = 2^100: theta = floor(2 num _PI_FIX / den) is
+    within 1.25 of 2 pi T num/den (< 0.79 T).  Each Taylor term of the sine
+    is floored from the last through sq = floor(theta^2 / T), which keeps its
+    error below 1.3; at most 15 terms and the alternating remainder (below
+    the first term that floors to 0) leave s within 24 of T sin.  The cosine
+    isqrt(T^2 - s^2) adds at most 1 + 24 tan(pi/4).  Both lie well inside
+    _UNIT_ROOT_SLACK, and int / int division rounds correctly, so equal ends
+    give the correctly rounded value."""
+    one = 1 << _FIX
+    theta = 2 * _PI_FIX * num // den
+    sq = theta * theta >> _FIX
+    s = term = theta
+    j = 1
+    while term:
+        term = (term * sq >> _FIX) // ((j + 1) * (j + 2))
+        s += -term if j % 4 == 1 else term
+        j += 2
+    c = math.isqrt(one * one - s * s)
+    lo = ((s - _UNIT_ROOT_SLACK) / one, (c - _UNIT_ROOT_SLACK) / one)
+    hi = ((s + _UNIT_ROOT_SLACK) / one, (c + _UNIT_ROOT_SLACK) / one)
+    return lo if lo == hi else None
+
+
 def _unit_roots(n: int) -> list[complex]:
-    """The primitive n-th roots of unity: +-1, +-i exact, the rest polished on Phi_n
-    from e^(2 pi i k/n), 0 < k < n/2, and conjugated (as exact Newton steps commute)."""
+    """The primitive n-th roots of unity e^(2 pi i k/n), correctly rounded:
+    +-1 and +-i exact, the rest for 0 < k < n/2 and conjugated.
+
+    Symmetry takes k/n into [0, 1/8] (``_sin_cos_turns``); only when that
+    cannot decide the rounding is the root polished on Phi_n by exact Newton
+    steps.  Exact division already proved these roots, so none is certified."""
     if n <= 2:
         return [complex(1 if n == 1 else -1)]
-    phi, out = list(_cyclotomic(n)), []
+    out = []
     for k in range(1, (n + 1) // 2):
-        if math.gcd(k, n) == 1:
-            z = 1j if 4 * k == n else _polish(phi, cmath.rect(1.0, 2 * math.pi * k / n))
-            out += [z, z.conjugate()]
+        if math.gcd(k, n) != 1:
+            continue
+        if 4 * k == n:
+            z = 1j
+        else:
+            num, den = (n - 2 * k, 2 * n) if 4 * k > n else (k, n)  # fold into [0, 1/4]
+            swap = 8 * num > den
+            if swap:
+                num, den = den - 4 * num, 4 * den  # 1/4 - num/den
+            sc = _sin_cos_turns(num, den)
+            if sc is None:
+                z = _polish(list(_cyclotomic(n)), cmath.rect(1.0, 2 * math.pi * k / n))
+            else:
+                c, s = sc if swap else sc[::-1]
+                z = complex(-c if 4 * k > n else c, s)
+        out += [z, z.conjugate()]
     return out
 
 
@@ -592,8 +652,8 @@ class _Doubles:
         return n / d  # correctly rounded; OverflowError past the double range
 
     @staticmethod
-    def polar(r, turns):
-        return cmath.rect(r, 2 * math.pi * turns)
+    def polar(log_r, turns):
+        return cmath.rect(math.exp(log_r), 2 * math.pi * turns)
 
     @staticmethod
     def targets(deg: int):
@@ -616,8 +676,8 @@ class _MpNumbers:
     def ratio(self, n: int, d: int):
         return self.ctx.mpf(n) / self.ctx.mpf(d)
 
-    def polar(self, r, turns):
-        return r * self.ctx.expjpi(2 * turns)
+    def polar(self, log_r, turns):
+        return self.ctx.exp(log_r) * self.ctx.expjpi(2 * turns)
 
     def targets(self, deg: int):
         dps = self.ctx.dps
@@ -643,13 +703,31 @@ def _horner(coeffs, z):
     return p, dp, scale
 
 
+def _starts(numbers, f: list[int], seed: int) -> list:
+    """Aberth start points on the Newton polygon of the integer polynomial f
+    (Bini, Numer. Algorithms 13, 1996): each edge from i to j of the upper
+    convex hull of the points (i, log |f_i|) gets j - i points, evenly spaced
+    from a seeded angle, on the circle of radius (|f_i| / |f_j|)^(1/(j - i)).
+    The angle's offset in [0.1, 0.4) turns is a Fibonacci hash of the seed."""
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(f):
+        if c:
+            b = (i, math.log(abs(c)))
+            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (b[1] - hull[-2][1])
+                                     >= (hull[-1][1] - hull[-2][1]) * (b[0] - hull[-2][0])):
+                hull.pop()  # on or below the chord from hull[-2] to b
+            hull.append(b)
+    offset, deg = 0.1 + 0.3 * (seed * 0x9E3779B97F4A7C15 % 2**64) / 2**64, len(f) - 1
+    return [numbers.polar((li - lj) / (j - i), (k + offset) / (j - i) + i / deg)
+            for (i, li), (j, lj) in zip(hull, hull[1:]) for k in range(j - i)]
+
+
 def _aberth(numbers, f: list[int], seed: int) -> list:
     """Aberth-Ehrlich simultaneous iteration for the roots of the integer
-    polynomial f, in the number context ``numbers``.
+    polynomial f, in the number context ``numbers``, from :func:`_starts`.
 
-    Start points are seeded on a circle inside the Cauchy radius.  A root
-    has converged, and stops moving, once |p(z)| / sum |c_k| |z|^k (its
-    backward error) or its relative step is below the context's targets.
+    A root has converged, and stops moving, once |p(z)| / sum |c_k| |z|^k
+    (its backward error) or its relative step is below the context's targets.
     Outside the unit disk p and p' are evaluated through the reversed
     polynomial at 1/z, so no power of |z| is formed.
     """
@@ -657,10 +735,7 @@ def _aberth(numbers, f: list[int], seed: int) -> list:
     cs = [numbers.ratio(c, f[-1]) for c in f]
     rev = cs[::-1]
     res_target, step_target = numbers.targets(deg)
-    rng = random.Random(seed)
-    radius = 1 + max(abs(c) for c in cs)
-    offset = rng.uniform(0.1, 0.4)
-    z = [numbers.polar(0.7 * radius, (k + offset) / deg) for k in range(deg)]
+    z = _starts(numbers, f, seed)
     moving = range(deg)
     for _ in range(600):
         still = []
@@ -732,21 +807,70 @@ def _newton_exact(f: list[int], z: complex) -> complex:
     return complex((nr * hr + ni * hi) / den, (ni * hr - nr * hi) / den)
 
 
+def _newton_fixed(f: list[int], z: complex) -> complex | None:
+    """The step of :func:`_newton_exact` from fixed-point values, or None
+    when their error bound cannot decide its rounding.
+
+    For z = (a + ib) / 2^e, Horner's rule keeps G ~ 2^P f(z) and
+    H ~ 2^P f'(z) as Gaussian integers, P = e + 64 + bits(deg), flooring
+    each product by z.  A floor errs by less than 1 per component, so with
+    R = isqrt(a^2 + b^2) + 1 >= 2^e |z| the errors obey
+    eg' <= eg R / 2^e + 2 and eh' <= eh R / 2^e + 2 + eg, the recurrences
+    below rounded up.  Then |f/f' - G/H| <= (eg |H| + |G| eh) / ((|H| - eh) |H|),
+    and when both ends of that interval round to the same double in each
+    component, so does the exact step; for real z both steps are real.  A
+    nonzero component below 2^-40 |z|, such as the noise left on a real
+    root, shrinks past what P resolves; such a z is left to the exact step
+    at once."""
+    if z.imag and min(abs(z.real), abs(z.imag)) < 2.0**-40 * abs(z):
+        return None
+    a, b, e = _dyadic(z)
+    p = e + 64 + len(f).bit_length()
+    rad = math.isqrt(a * a + b * b) + 1
+    gr, gi, hr, hi, eg, eh = f[-1] << p, 0, 0, 0, 0, 0
+    for c in reversed(f[:-1]):
+        hr, hi = ((hr * a - hi * b) >> e) + gr, ((hr * b + hi * a) >> e) + gi
+        eh = ((eh * rad) >> e) + 3 + eg
+        gr, gi = ((gr * a - gi * b) >> e) + (c << p), (gr * b + gi * a) >> e
+        eg = ((eg * rad) >> e) + 3
+    norm = hr * hr + hi * hi
+    habs = math.isqrt(norm)
+    if habs <= eh:
+        return None
+    # z - G/H = (Z*H - G*2^e) / (H * 2^e) with Z = a + ib, as for the exact step
+    nr, ni = a * hr - b * hi - (gr << e), a * hi + b * hr - (gi << e)
+    den = norm << e
+    err = eg * (habs + 1) + (math.isqrt(gr * gr + gi * gi) + 1) * eh
+    w = -(-err * den // ((habs - eh) * habs))
+    out = []
+    for num, slack in ((nr * hr + ni * hi, w), (ni * hr - nr * hi, w if b else 0)):
+        lo, up = (num - slack) / den, (num + slack) / den
+        if lo != up or (lo == 0 and slack):  # an interval about 0 could hide the sign of a zero
+            return None
+        out.append(lo)
+    return complex(*out)
+
+
 def _polish(f: list[int], z: complex) -> complex:
-    """Exact Newton steps from z until one moves it by at most a unit in the
-    last place of |z|, which then holds the correctly rounded root.
+    """Newton steps from z until one moves it by at most a unit in the last
+    place of |z|, which then holds the correctly rounded root.  Past degree
+    20 each step is evaluated in fixed point (:func:`_newton_fixed`), or
+    exactly where that cannot decide the rounding, and is the exactly
+    rounded step either way; below it the exact step is the cheaper.
 
     An iterate of the double stage settles in one step; an ill-conditioned
     root (such as those of prod (t - k), k <= 20) takes a few more.
     """
     for _ in range(_POLISH_STEPS):
-        nxt = _newton_exact(f, z)
+        nxt = _newton_fixed(f, z) if len(f) > _FIXED_STEP_LENGTH else None
+        if nxt is None:
+            nxt = _newton_exact(f, z)
         settled = abs(nxt - z) <= 2.0**-52 * abs(nxt)
         z = nxt
         if settled:
             return z
     raise RootFindingError(
-        f"exact Newton steps did not settle for {_poly(f).display()}"
+        f"Newton steps did not settle for {_poly(f).display()}"
     )
 
 
@@ -803,18 +927,62 @@ def _certified(q: list[int], z: complex, tol: float) -> bool:
     return excess <= 0 or excess * excess <= cross * cross * n
 
 
+def _sign_at(f: list[int], x: float) -> int:
+    """The sign of f(x), exactly: that of den^deg f(num/den) for x = num/den."""
+    num, den = x.as_integer_ratio()
+    v, w = f[-1], 1
+    for c in reversed(f[:-1]):
+        w *= den
+        v = v * num + c * w
+    return (v > 0) - (v < 0)
+
+
+def _real_root_near(f: list[int], x: float) -> bool:
+    """Whether f changes sign between the doubles next to x, which proves a
+    real root of f within an ulp of x."""
+    return _sign_at(f, math.nextafter(x, -math.inf)) * _sign_at(f, math.nextafter(x, math.inf)) < 0
+
+
+def _polished(f: list[int], z: complex) -> complex:
+    """z polished on the integer polynomial f (:func:`_polish`), real where
+    :func:`_real_root_near` proves it.  When Im z is below 2^-20 |Re z|, real
+    Newton steps from Re z are tried first, which are cheaper; otherwise,
+    or without a proof there, z is polished in the complex plane and its
+    imaginary part dropped if it is below an ulp of the real part."""
+    if abs(z.imag) <= 2.0**-20 * abs(z.real):
+        try:
+            x = _polish(f, complex(z.real))
+        except (OverflowError, RootFindingError):
+            pass
+        else:
+            if _real_root_near(f, x.real):
+                return x
+    z = _polish(f, z)
+    if z.imag and abs(z.imag) <= 2.0**-52 * abs(z.real) and _real_root_near(f, z.real):
+        return complex(z.real)
+    return z
+
+
 def _located_roots(numbers, p, q, found, factors, tol, seed):
-    """The roots ``found`` so far and, through one number context, those of each
-    square-free factor (Aberth, exact polishing), clustered at tol**0.5 and certified."""
+    """The proven roots ``found`` and, through one number context, those of each
+    square-free factor (Aberth, :func:`_polished`, or only :func:`_polish` if
+    the real axis drew two iterates to one root), clustered at tol**0.5; each
+    cluster but a lone proven root is certified."""
+    points = list(found)
     for f, mult in factors:
-        polished = [_polish(f, complex(z)) for z in _aberth(numbers, f, seed)]
+        located = [complex(z) for z in _aberth(numbers, f, seed)]
+        polished = [_polished(f, z) for z in located]
+        if len(set(polished)) < len(polished):  # the real axis drew two iterates to one root
+            polished = [_polish(f, z) for z in located]
         if len(set(polished)) < len(polished):
             raise RootFindingError(f"two iterates reached the same root of {p.display()}")
-        found = found + [(z, mult) for z in polished]
-    out = _cluster(found, tol ** 0.5)
-    for z, _ in out:
-        if not _certified(q, z, tol):
+        points += [(z, mult) for z in polished]
+    out = []
+    for group in _clusters(points, tol ** 0.5):
+        z, m = _centroid([points[i] for i in group])
+        if (len(group) > 1 or group[0] >= len(found)) and not _certified(q, z, tol):
             raise RootFindingError(f"root residual at {z} exceeds bound for {p.display()}")
+        out.append((z, m))
     return out
 
 
@@ -823,13 +991,23 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
 
     Factors of t and the rational content are stripped, and the primitive
     integer polynomial q is divided exactly into prod Phi_n^m * rest; each
-    primitive n-th root of unity is reported with multiplicity m, polished
-    on Phi_n.  ``rest`` is split exactly into square-free factors f_i of
-    multiplicity i, whose roots the Aberth-Ehrlich iteration locates in
-    machine ``complex`` and exact Newton steps on f_i polish.  Roots within
+    primitive n-th root of unity is reported with multiplicity m, correctly
+    rounded in closed form (:func:`_unit_roots`).  ``rest`` is split
+    exactly into square-free factors f_i of multiplicity i, whose roots the
+    Aberth-Ehrlich iteration locates in machine ``complex`` from start
+    points on the Newton polygon of f_i, and Newton steps on f_i, rounded
+    as the exact step is, polish; a root is reported real where f_i
+    changes sign between the doubles next to its real part.  Roots within
     tol**0.5 of each other are clustered (a cluster reports its centroid
-    and summed multiplicity), and each reported value z is certified
-    against the backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``.
+    and summed multiplicity), and each reported value z but a lone root of
+    unity, which exact division proved, is certified against the
+    backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``.
+
+    The cyclotomic split dominates on torus knots (T(80,81), degree 6,320:
+    about 0.6 s; T(140,141), degree 19,460: about 7 s) and the O(d^2)
+    Aberth sweeps on the rest (a generic degree-400 polynomial: about
+    0.4 s), against at most 0.04 s for the exact verdict (Python 3.11, one
+    core of a shared 2-vCPU host).
 
     On a float overflow, non-convergence or a failed certificate, ``rest``
     (of degree d) goes through again in a private mpmath context at
@@ -856,9 +1034,9 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     return out
 
 
-def _cluster(roots, radius):
-    """Single-linkage clustering of (point, multiplicity) pairs, swept by real part; a
-    cluster reports its weighted centroid (summed in input order) and summed multiplicity."""
+def _clusters(roots, radius) -> list[list[int]]:
+    """Single-linkage clustering of (point, multiplicity) pairs, swept by real
+    part: the clusters as ascending index lists, ordered by their least index."""
     n = len(roots)
     parent = list(range(n))
 
@@ -877,17 +1055,24 @@ def _cluster(roots, radius):
                 break
             if abs(zi - roots[j][0]) <= radius:
                 parent[find(i)] = find(j)
-    groups: dict[int, list] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    out = []
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(members[0])
-        else:
-            mult = sum(m for _, m in members)
-            out.append((sum(z * m for z, m in members) / mult, mult))
-    return out
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _centroid(members):
+    """A cluster's weighted centroid (summed in input order) and summed
+    multiplicity; a lone member as it is."""
+    if len(members) == 1:
+        return members[0]
+    mult = sum(m for _, m in members)
+    return sum(z * m for z, m in members) / mult, mult
+
+
+def _cluster(roots, radius):
+    """Each cluster of :func:`_clusters` as its :func:`_centroid`."""
+    return [_centroid([roots[i] for i in group]) for group in _clusters(roots, radius)]
 
 
 # -- matrices over Q[t, t^-1] ------------------------------------------------

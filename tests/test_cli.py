@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -284,3 +286,42 @@ def test_corpus_root_strings_match_sympy(entry, monkeypatch, capsys):
             z = complex(r)
             expected[_zeroed(_fmt(z.real), _fmt(z.imag), _fmt(float(abs(r))), mult)] += 1
     assert got == expected
+
+
+def _generic_one_relators(rng, count):
+    """Seeded one-relator presentations in x, y with 30-36 letters, as the
+    generic inputs of the benchmark's ``roots`` workload draws them."""
+    out = []
+    while len(out) < count:
+        letters = []
+        for _ in range(rng.randint(30, 36)):
+            options = [a for a in "xyXY" if not letters or a != letters[-1].swapcase()]
+            letters.append(rng.choice(options))
+        e1 = letters.count("x") - letters.count("X")
+        e2 = letters.count("y") - letters.count("Y")
+        if letters[0] != letters[-1].swapcase() and (e1 or e2):
+            g = math.gcd(e1, e2)
+            out.append(("gens: x, y\nrel: " + " ".join(letters) + "\n", (e2 // g, -e1 // g)))
+    return out
+
+
+def _root_strings(text, psi, seed, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    main(["torsion", "--pres", "-", "--psi=" + ",".join(map(str, psi)), "--json", "--seed", str(seed)])
+    return json.loads(capsys.readouterr().out)["roots"]
+
+
+def test_root_strings_do_not_depend_on_the_seed(monkeypatch, capsys):
+    # real roots are reported with "im": "0" once a sign change proves them
+    # real, so no sub-ulp imaginary noise of the Aberth path reaches the JSON
+    cases = [(e.text, e.psi) for e in THREE_MANIFOLD_CORPUS]
+    cases += _generic_one_relators(random.Random(11), 30)
+    degrees = []
+    for text, psi in cases:
+        roots = _root_strings(text, psi, 0, monkeypatch, capsys)
+        assert roots == _root_strings(text, psi, 5, monkeypatch, capsys), (text, psi)
+        degrees.append(sum(r["mult"] for r in roots))
+    assert max(degrees) >= 20
+    entry = next(e for e in THREE_MANIFOLD_CORPUS if e.name == "sol-bundle-trace-4")
+    roots = _root_strings(entry.text, entry.psi, 0, monkeypatch, capsys)
+    assert [r["im"] for r in roots] == ["0", "0"]

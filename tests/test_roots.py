@@ -1,11 +1,18 @@
 """Numeric roots against sympy as an independent oracle, the exact
 cyclotomic split, the residual certificate in doubles and in integers,
-clustering, and the mpmath fallback of :func:`complex_roots`."""
+clustering, the mpmath fallback of :func:`complex_roots`, and its kernels:
+closed-form roots of unity against mpmath, fixed-point Newton steps against
+exact ones, Newton-polygon start points, real roots proved by a sign
+change, and a guard on the largest full report the degree budget admits."""
 
 import cmath
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -373,3 +380,194 @@ def test_high_degree_cyclotomic_inputs_are_fast():
     rep = annulus_certify(pres, (30, 13))
     assert time.perf_counter() - start < 5
     assert rep.verdict == "pass" and sum(m for _, m in rep.roots) == 348
+
+
+# -- closed-form roots of unity -------------------------------------------------
+
+
+def mpmath_unit_roots(n):
+    """The list ``_unit_roots(n)`` should return, from mpmath's cos and sin
+    of pi x at 170 bits (51 digits), each rounded to the nearest double: for
+    each k < n/2 prime to n, e^(2 pi i k/n) and its conjugate."""
+    if n <= 2:
+        return [complex(1 if n == 1 else -1)]
+    out, prec, nearest = [], 170, mpmath.libmp.round_nearest
+    for k in range(1, (n + 1) // 2):
+        if math.gcd(k, n) == 1:
+            c, s = mpmath.libmp.mpf_cos_sin_pi(mpmath.libmp.from_rational(2 * k, n, prec), prec)
+            z = complex(mpmath.libmp.to_float(c, rnd=nearest), mpmath.libmp.to_float(s, rnd=nearest))
+            out += [z, z.conjugate()]
+    return out
+
+
+def test_closed_form_unit_roots_match_mpmath():
+    for n in itertools.chain(range(1, 2001), (6480, 9900, 19740)):
+        assert laurent_mod._unit_roots(n) == mpmath_unit_roots(n), n
+
+
+def test_ambiguous_rounding_falls_back_to_exact_polish(monkeypatch):
+    ns = list(range(1, 40)) + [97, 360]
+    expected = {n: laurent_mod._unit_roots(n) for n in ns}
+    polished = []
+    real = laurent_mod._polish
+
+    def spy(f, z):
+        polished.append(z)
+        return real(f, z)
+
+    monkeypatch.setattr(laurent_mod, "_polish", spy)
+    monkeypatch.setattr(laurent_mod, "_UNIT_ROOT_SLACK", 1 << laurent_mod._FIX)
+    for n in ns:
+        assert laurent_mod._unit_roots(n) == expected[n], n
+    # every root but +-1 and +-i now goes through the polish, once per conjugate pair
+    assert len(polished) == sum(len(expected[n]) // 2 for n in ns if n not in (1, 2, 4))
+
+
+def test_proven_roots_of_unity_are_not_recertified(monkeypatch):
+    calls = []
+    real = laurent_mod._certified
+
+    def spy(q, z, tol):
+        calls.append(z)
+        return real(q, z, tol)
+
+    monkeypatch.setattr(laurent_mod, "_certified", spy)
+    roots = complex_roots(T**60 - ONE, TOL)
+    assert len(roots) == 60 and calls == []
+    # a root of unity merged with an Aberth root is certified, once, as the centroid
+    p = (T - ONE) * (T - lp(Fraction(1000001, 1000000)))
+    roots = complex_roots(p, TOL)
+    assert calls == [roots[0][0]] and roots[0][1] == 2
+
+
+# -- fixed-point Newton steps ---------------------------------------------------
+
+
+def test_fixed_point_newton_step_is_the_exact_one():
+    # near roots and off them, with 100-bit coefficients or small ones: a
+    # decided fixed-point step is the exact step, bit for bit
+    rng = random.Random(13)
+    decided = undecided = 0
+    for trial in range(60):
+        deg = rng.randint(1, 40)
+        big = 10**30 if trial % 3 == 0 else 3
+        f = [rng.randint(-big, big) for _ in range(deg)] + [rng.choice([1, 2, -7])]
+        f[0] = f[0] or 1
+        for r in laurent_mod._aberth(laurent_mod._DOUBLES, f, trial):
+            for z in (r, r * (1 + 1e-7j), complex(rng.uniform(-3, 3), rng.uniform(-3, 3))):
+                step = laurent_mod._newton_fixed(f, z)
+                if step is None:
+                    undecided += 1
+                else:
+                    decided += 1
+                    assert repr(step) == repr(laurent_mod._newton_exact(f, z)), (f, z)
+            # the noise on a real root is left to the exact step; a real point is not
+            assert laurent_mod._newton_fixed(f, complex(r.real, r.real * 1e-20)) is None
+            step = laurent_mod._newton_fixed(f, complex(r.real))
+            assert step is None or repr(step) == repr(laurent_mod._newton_exact(f, complex(r.real)))
+    assert decided > 4 * undecided
+
+
+def test_undecided_fixed_point_steps_fall_back_to_exact_ones(monkeypatch):
+    p = generic_poly(60, 7) * lp(-2, 0, 1) * (T - lp(3)) ** 2
+    expected = complex_roots(p, TOL)
+    exact = []
+    real = laurent_mod._newton_exact
+
+    def spy(f, z):
+        exact.append(z)
+        return real(f, z)
+
+    monkeypatch.setattr(laurent_mod, "_newton_exact", spy)
+    monkeypatch.setattr(laurent_mod, "_newton_fixed", lambda f, z: None)
+    assert complex_roots(p, TOL) == expected
+    assert len(exact) >= 63
+
+
+# -- Newton-polygon starts ------------------------------------------------------
+
+
+def start_radii(f):
+    return Counter(round(abs(z), 12) for z in laurent_mod._starts(laurent_mod._DOUBLES, f, 0))
+
+
+def test_starts_lie_on_the_newton_polygon_radii():
+    # t^2 - 7t + 1: hull (0, 0), (1, log 7), (2, 0); its roots are 0.146 and 6.85
+    assert start_radii([1, -7, 1]) == Counter({round(1 / 7, 12): 1, 7.0: 1})
+    # t^5 + 1000 t^3 + 1: edges 0 -> 3 and 3 -> 5, so 3 points at 0.1 and 2 at sqrt(1000)
+    assert start_radii([1, 0, 0, 1000, 0, 1]) == Counter({0.1: 3, round(1000**0.5, 12): 2})
+    # collinear points are dropped from the hull: t^4 + 2 t^2 + 4 is one edge of radius sqrt(2)
+    assert start_radii([4, 0, 2, 0, 1]) == Counter({round(2**0.5, 12): 4})
+
+
+def generic_poly(deg, seed):
+    """An integer polynomial with coefficients drawn from +-1, +-2 and end coefficients 1."""
+    rng = random.Random(seed)
+    return LaurentPoly.from_coeffs([1] + [rng.choice([1, -1, 2, -2]) for _ in range(deg - 1)] + [1])
+
+
+def test_newton_polygon_starts_cut_the_aberth_sweeps(monkeypatch):
+    # one circle at 0.7 times the Cauchy radius took about 64 sweeps at degree 200
+    calls = []
+    real = laurent_mod._horner
+
+    def spy(coeffs, z):
+        calls.append(1)
+        return real(coeffs, z)
+
+    monkeypatch.setattr(laurent_mod, "_horner", spy)
+    for seed in (3, 4, 5):
+        calls.clear()
+        roots = complex_roots(generic_poly(200, seed), TOL)
+        assert sum(m for _, m in roots) == 200
+        assert len(calls) < 64 * 200, seed
+
+
+# -- real roots ------------------------------------------------------------------
+
+
+def test_real_roots_are_real_only_where_a_sign_change_proves_it():
+    r2 = math.sqrt(2)
+    assert laurent_mod._polished([-2, 0, 1], complex(r2, 1e-30)) == complex(r2)
+    # 10^40 (t - 1)^2 + 1 has no real root: no sign change at 1, so the pair stays complex
+    f = [10**40 + 1, -2 * 10**40, 10**40]
+    assert laurent_mod._polished(f, complex(1, 1e-20)) == complex(1, 1e-20)
+    for seed in range(6):
+        roots = complex_roots(lp(1, -4, 1) * lp(-2, 0, 0, 1), TOL, seed)
+        assert sum(z.imag == 0 for z, _ in roots) == 3, seed
+
+
+def test_real_axis_drawing_two_iterates_to_one_root_polishes_each_in_the_plane(monkeypatch):
+    # t - 1 times that pair: from the real parts of all three iterates, real
+    # Newton steps reach 1, so each is polished in the complex plane instead
+    p = (T - ONE) * lp(10**40 + 1, -2 * 10**40, 10**40)
+    polished = []
+    real = laurent_mod._polish
+
+    def spy(f, z):
+        polished.append(z)
+        return real(f, z)
+
+    monkeypatch.setattr(laurent_mod, "_polish", spy)
+    roots = complex_roots(p, TOL)
+    assert [m for _, m in roots] == [3] and abs(roots[0][0] - 1) < 1e-12
+    assert any(z.imag for z in polished)
+
+
+# -- hang guard ------------------------------------------------------------------
+
+_FULL_REPORT = "import sys; from torsionpoly.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_largest_admitted_full_report_finishes():
+    # T(140,141) has degree 19,460, the largest torus knot DEGREE_BUDGET admits
+    src = os.path.dirname(os.path.dirname(os.path.abspath(laurent_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FULL_REPORT, "torsion", "--pres", "-",
+                           "--psi", "141,140", "--json"], input="gens: x, y\nrel: x^140 y^-141\n",
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "pass"
+    assert sum(r["mult"] for r in doc["roots"]) == len(doc["delta"]["coeffs"]) - 1 == 19460
+    assert all(r["modulus"] == "1" for r in doc["roots"])
