@@ -543,23 +543,22 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-def _may_vanish_at_unit_root(rest: tuple[list[int], int], n: int) -> bool:
-    """False only if q(e^(2 pi i/n)) != 0, for ``rest`` = (q, ||q||_1).
+def _may_vanish_at_unit_root(q: list[int], norm: int, n: int) -> bool:
+    """False only if q(e^(2 pi i/n)) != 0, given norm = ||q||_1.
 
-    Past degree n, q is first folded exactly modulo t^n - 1, which keeps its
+    Past degree 4n, q is first folded exactly modulo t^n - 1, which keeps its
     value at e^(2 pi i/n) and does not raise ||q||_1.  Were that value zero,
     Horner's rule in doubles at the rounded point (within 16 u of it,
     u = 2^-53, given a libm cos and sin good to an ulp) would return at most
     about 22 d u ||q||_1 for degree d; the bound below is 5 times that."""
-    q, total = rest
-    if total.bit_length() > 1000:
+    if norm.bit_length() > 1000:
         return True
     if 4 * n <= len(q):
         q = [sum(q[j::n]) for j in range(n)]
     z, v = cmath.rect(1.0, 2 * math.pi / n), 0j
     for c in reversed(q):
         v = v * z + c
-    return abs(v) <= 2.0**-46 * len(q) * total
+    return abs(v) <= 2.0**-46 * len(q) * norm
 
 
 def _cyclotomic_split(q: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -571,7 +570,7 @@ def _cyclotomic_split(q: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
     norm = sum(map(abs, rest))
     for n, phi in _phi_at_most(1 << (len(q) - 1).bit_length()):  # a power of two: few tables
         m = 0
-        while phi < len(rest) and _may_vanish_at_unit_root((rest, norm), n):
+        while phi < len(rest) and _may_vanish_at_unit_root(rest, norm, n):
             _, quo, rem = _pdivmod(rest, list(_cyclotomic(n)))
             if rem:
                 break
@@ -944,19 +943,9 @@ def _real_root_near(f: list[int], x: float) -> bool:
 
 
 def _polished(f: list[int], z: complex) -> complex:
-    """z polished on the integer polynomial f (:func:`_polish`), real where
-    :func:`_real_root_near` proves it.  When Im z is below 2^-20 |Re z|, real
-    Newton steps from Re z are tried first, which are cheaper; otherwise,
-    or without a proof there, z is polished in the complex plane and its
-    imaginary part dropped if it is below an ulp of the real part."""
-    if abs(z.imag) <= 2.0**-20 * abs(z.real):
-        try:
-            x = _polish(f, complex(z.real))
-        except (OverflowError, RootFindingError):
-            pass
-        else:
-            if _real_root_near(f, x.real):
-                return x
+    """z polished on the integer polynomial f (:func:`_polish`), with its
+    imaginary part dropped if that is below an ulp of the real part and
+    :func:`_real_root_near` proves a real root there."""
     z = _polish(f, z)
     if z.imag and abs(z.imag) <= 2.0**-52 * abs(z.real) and _real_root_near(f, z.real):
         return complex(z.real)
@@ -965,15 +954,11 @@ def _polished(f: list[int], z: complex) -> complex:
 
 def _located_roots(numbers, p, q, found, factors, tol, seed):
     """The proven roots ``found`` and, through one number context, those of each
-    square-free factor (Aberth, :func:`_polished`, or only :func:`_polish` if
-    the real axis drew two iterates to one root), clustered at tol**0.5; each
+    square-free factor (Aberth, :func:`_polished`), clustered at tol**0.5; each
     cluster but a lone proven root is certified."""
     points = list(found)
     for f, mult in factors:
-        located = [complex(z) for z in _aberth(numbers, f, seed)]
-        polished = [_polished(f, z) for z in located]
-        if len(set(polished)) < len(polished):  # the real axis drew two iterates to one root
-            polished = [_polish(f, z) for z in located]
+        polished = [_polished(f, complex(z)) for z in _aberth(numbers, f, seed)]
         if len(set(polished)) < len(polished):
             raise RootFindingError(f"two iterates reached the same root of {p.display()}")
         points += [(z, mult) for z in polished]
@@ -1068,11 +1053,6 @@ def _centroid(members):
         return members[0]
     mult = sum(m for _, m in members)
     return sum(z * m for z, m in members) / mult, mult
-
-
-def _cluster(roots, radius):
-    """Each cluster of :func:`_clusters` as its :func:`_centroid`."""
-    return [_centroid([roots[i] for i in group]) for group in _clusters(roots, radius)]
 
 
 # -- matrices over Q[t, t^-1] ------------------------------------------------

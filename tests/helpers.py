@@ -196,7 +196,7 @@ def ref_exact_div(a, b):
 
 def cluster_all_pairs(roots, radius):
     """Single-linkage clustering by comparing every pair: the reference for
-    the sweep in ``laurent._cluster``."""
+    the sweep in ``laurent._clusters``."""
     n = len(roots)
     parent = list(range(n))
 

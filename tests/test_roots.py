@@ -282,10 +282,23 @@ def test_exact_division_alone_decides_the_split(monkeypatch):
     cases = [lp(*LEHMER) * (T**12 - ONE), (T**30 - ONE) * (T - ONE) ** 2 * lp(5, 1, 0, 1),
              lp(1, -3, 1) * lp(-2, 0, 1), T**7 - ONE]
     expected = [(laurent_mod._cyclotomic_split(ints(p)), complex_roots(p, TOL)) for p in cases]
-    monkeypatch.setattr(laurent_mod, "_may_vanish_at_unit_root", lambda q, n: True)
+    monkeypatch.setattr(laurent_mod, "_may_vanish_at_unit_root", lambda q, norm, n: True)
     for p, (split, roots) in zip(cases, expected):
         assert laurent_mod._cyclotomic_split(ints(p)) == split
         assert complex_roots(p, TOL) == roots
+
+
+def test_folded_unit_root_test_agrees_with_exact_division():
+    # at degree 300 every n <= 75 folds q modulo t^n - 1 before Horner's rule;
+    # the test must still accept each planted Phi_n and reject every other n
+    rng = random.Random(11)
+    r = [1] + [rng.randint(-3, 3) for _ in range(299)] + [1]
+    for n in range(1, 76):
+        q = laurent_mod._convolve(r, laurent_mod._cyclotomic(n))
+        for f in (q, r):
+            divides = not laurent_mod._pdivmod(f, list(laurent_mod._cyclotomic(n)))[2]
+            assert 4 * n <= len(f) and divides == (f is q), n
+            assert laurent_mod._may_vanish_at_unit_root(f, sum(map(abs, f)), n) == divides, n
 
 
 def test_unit_roots_are_the_correctly_rounded_roots_of_unity():
@@ -364,7 +377,9 @@ def test_sweep_clustering_matches_all_pairs():
             else:
                 z = complex(rng.choice([0.0, 1.0, rng.uniform(-2, 2)]), rng.uniform(-2, 2))
             points.append((z, rng.randint(1, 3)))
-        assert laurent_mod._cluster(points, radius) == cluster_all_pairs(points, radius)
+        swept = [laurent_mod._centroid([points[i] for i in group])
+                 for group in laurent_mod._clusters(points, radius)]
+        assert swept == cluster_all_pairs(points, radius)
 
 
 # -- cost guard ---------------------------------------------------------------
@@ -535,23 +550,6 @@ def test_real_roots_are_real_only_where_a_sign_change_proves_it():
     for seed in range(6):
         roots = complex_roots(lp(1, -4, 1) * lp(-2, 0, 0, 1), TOL, seed)
         assert sum(z.imag == 0 for z, _ in roots) == 3, seed
-
-
-def test_real_axis_drawing_two_iterates_to_one_root_polishes_each_in_the_plane(monkeypatch):
-    # t - 1 times that pair: from the real parts of all three iterates, real
-    # Newton steps reach 1, so each is polished in the complex plane instead
-    p = (T - ONE) * lp(10**40 + 1, -2 * 10**40, 10**40)
-    polished = []
-    real = laurent_mod._polish
-
-    def spy(f, z):
-        polished.append(z)
-        return real(f, z)
-
-    monkeypatch.setattr(laurent_mod, "_polish", spy)
-    roots = complex_roots(p, TOL)
-    assert [m for _, m in roots] == [3] and abs(roots[0][0] - 1) < 1e-12
-    assert any(z.imag for z in polished)
 
 
 # -- hang guard ------------------------------------------------------------------
