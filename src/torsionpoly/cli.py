@@ -194,26 +194,24 @@ def _census(args):
 
 
 def cmd_sol_census(args) -> int:
-    from .sl2z import canonicalize, inverse_class, rl_to_matrix
+    from .sl2z import inverse_class, rl_to_matrix
     c_str, bound, census = _census(args)
+
+    def record(w) -> dict:
+        inv = inverse_class(w)
+        return {
+            "word": w.display(),
+            "matrix": [list(r) for r in rl_to_matrix(w)],
+            "reciprocal_class": inv.display(),
+            "ambichiral": inv == w,  # census words are canonical
+        }
+
     if args.json:
         doc = {
             "c": c_str,
             "trace_bound": bound,
             "census": [
-                {
-                    "trace": tau,
-                    "count": len(words),
-                    "classes": [
-                        {
-                            "word": w.display(),
-                            "matrix": [list(r) for r in rl_to_matrix(w)],
-                            "reciprocal_class": inverse_class(w).display(),
-                            "ambichiral": inverse_class(w) == canonicalize(w),
-                        }
-                        for w in words
-                    ],
-                }
+                {"trace": tau, "count": len(words), "classes": [record(w) for w in words]}
                 for tau, words in census
             ],
         }
@@ -224,8 +222,8 @@ def cmd_sol_census(args) -> int:
         for tau, words in census:
             print(f"trace {tau}: {len(words)} class(es)")
             for w in words:
-                inv = inverse_class(w)
-                tag = "self-reciprocal" if inv == canonicalize(w) else f"reciprocal: {inv.display()}"
+                inv = inverse_class(w)  # census words are canonical
+                tag = "self-reciprocal" if inv == w else f"reciprocal: {inv.display()}"
                 print(f"  {w.display()}  {rl_to_matrix(w)}  [{tag}]")
     return EXIT_OK
 

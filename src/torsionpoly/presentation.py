@@ -298,4 +298,4 @@ def complexity_k(pres: FinitePresentation) -> int:
 def root_bound(m: int, k: int) -> Fraction:
     """The root-annulus constant 1 + m! * k^m for m generators and
     Fox-Jacobian l1 norm k."""
-    return Fraction(1) + math.factorial(m) * Fraction(k) ** m
+    return Fraction(1 + math.factorial(m) * k ** m)

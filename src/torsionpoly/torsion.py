@@ -83,9 +83,7 @@ class SpecializedJacobian(NamedTuple):
         return len(self.entries)
 
     def total_norm(self) -> Fraction:
-        return sum(
-            (q.norm_l1() for row in self.entries for q in row), Fraction(0)
-        )
+        return Fraction(sum(sum(map(abs, q.ints)) for row in self.entries for q in row))
 
 
 def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:

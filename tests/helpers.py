@@ -12,7 +12,7 @@ from torsionpoly.laurent import InvariantViolation, LaurentPoly
 from torsionpoly.presentation import (
     FinitePresentation, complexity_k, exponent_sum_matrix, root_bound,
 )
-from torsionpoly.sl2z import L_MAT, R_MAT, Mat2, det, mat_mul, trace
+from torsionpoly.sl2z import L_MAT, R_MAT, Mat2, RLWord, det, mat_mul, trace
 
 
 # 33 letters; the Q[t] Smith form took minutes on it, the minors a millisecond
@@ -284,3 +284,33 @@ def conjugacy_oracle(a: Mat2, b: Mat2, bound: int) -> str:
                 raise InvariantViolation("BFS conjugator does not conjugate")
             return SAME_CLASS
     return DISTINCT
+
+
+def census_by_rotation_sets(tau_max: int) -> dict[int, list[RLWord]]:
+    """Canonical positive R/L words by trace, for traces <= tau_max: the
+    unpruned reference for ``sl2z._positive_words_by_trace``.
+
+    Visits every positive word of trace <= tau_max, adds the least rotation
+    of each to its trace's set, and sorts each set by blocks.
+    """
+    buckets: dict[int, set] = {}
+
+    def extend(blocks, matrix):
+        (p00, p01), (p10, p11) = matrix
+        a = 1
+        while p00 * (1 + a) + p01 + p10 * a + p11 <= tau_max:
+            b = 1
+            while True:
+                tr = p00 * (1 + a * b) + p01 * b + p10 * a + p11
+                if tr > tau_max:
+                    break
+                grown = blocks + ((a, b),)
+                buckets.setdefault(tr, set()).add(
+                    min(grown[i:] + grown[:i] for i in range(len(grown))))
+                if tr < tau_max:
+                    extend(grown, mat_mul(matrix, ((1 + a * b, a), (b, 1))))
+                b += 1
+            a += 1
+
+    extend((), ((1, 0), (0, 1)))
+    return {tr: [RLWord(blocks) for blocks in sorted(found)] for tr, found in buckets.items()}

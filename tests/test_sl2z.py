@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import DISTINCT, INCONCLUSIVE, SAME_CLASS, conjugacy_oracle, mat_inv
+from helpers import (
+    DISTINCT, INCONCLUSIVE, SAME_CLASS, census_by_rotation_sets, conjugacy_oracle, mat_inv,
+)
 from torsionpoly.bundles import charpoly
 from torsionpoly.laurent import complex_roots
 from torsionpoly.sl2z import (
@@ -103,6 +105,24 @@ def test_class_charpoly_is_hyperbolic():
             for z, _ in complex_roots(cp, 1e-10):
                 assert abs(z.imag) < 1e-12
                 assert abs(abs(z) - 1) > 0.05
+
+
+def test_census_matches_the_unpruned_sweep():
+    # the reference canonicalizes every rotation of every word it visits
+    reference = census_by_rotation_sets(60)
+    expected = []
+    for tau in range(3, 61):
+        pos = reference.get(tau, [])
+        expected += [(tau, pos), (-tau, [RLWord(w.blocks, -1) for w in pos])]
+    for top in range(3, 61):
+        assert sol_candidates(top) == expected[: 2 * (top - 2)]
+    for tau, words in expected:
+        assert classes_with_trace(tau) == words
+        assert all(canonicalize(w) == w for w in words)
+        necklaces = {
+            frozenset(w.blocks[i:] + w.blocks[:i] for i in range(len(w.blocks))) for w in words
+        }
+        assert len(necklaces) == len(words)
 
 
 def test_oracle_same_class_examples():
