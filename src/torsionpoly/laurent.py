@@ -5,12 +5,12 @@ units are the monomials r*t^i (r a nonzero rational).  A
 :class:`LaurentPoly` stores the form the integer kernel computes on: a
 lowest exponent, a dense tuple of Python ints and one positive common
 denominator (the layout of FLINT's ``fmpq_poly``).  Arithmetic, division,
-gcd, normalization, Cauchy radii, evaluation mod p and the Smith row steps
-all read and build that form, so no ``Fraction`` is made per coefficient
-and every result equals that of plain rational arithmetic.  Division is
-one sparse pseudo-division that visits only the divisor's nonzero
-coefficients, and the gcd is a primitive polynomial remainder sequence
-over Z.
+gcd, normalization, Cauchy radii, evaluation mod p, the Bareiss pass and
+the Smith row steps all read and build that form, so no ``Fraction`` is
+made per coefficient and every result equals that of plain rational
+arithmetic.  Division is one sparse pseudo-division that visits only the
+divisor's nonzero coefficients, and the gcd is a primitive polynomial
+remainder sequence over Z.
 
 Only :func:`complex_roots` is inexact.  It strips cyclotomic factors by
 exact division and reports their roots of unity in closed form (a
@@ -1069,18 +1069,20 @@ def _global_shift(rows):
 
 
 def _bareiss(rows, stop_at_missing_pivot: bool):
-    """Fraction-free Bareiss elimination; returns (pivots, row-swap sign, lo).
+    """Fraction-free Bareiss elimination on integer polynomials; returns
+    (pivots as integer lists, row-swap sign, lo, den).
 
-    Negative exponents are cleared by the global t-power t^-lo first; every
-    division performed during elimination is exact in Q[t].  A column with
-    no pivot is skipped, or ends the pass if ``stop_at_missing_pivot``.
+    Each row is read once as integer polynomials from the global exponent
+    lo, which clears negative exponents, over its common denominator d_i;
+    so det(A) = det(integer rows) / den * t^(lo * n), den the product of
+    the d_i.  Each division by the previous pivot is then exact in Z[t]
+    (Bareiss 1968), else :class:`InvariantViolation`.  A column with no
+    pivot is skipped, or ends the pass if ``stop_at_missing_pivot``.
     """
     lo = _global_shift(rows)
-    m = [[e.shift(-lo) for e in row] for row in rows]
+    m, dens = map(list, zip(*(_row_ints(row, lo) for row in rows)))
     nrows, ncols = len(m), len(m[0])
-    pivots = []
-    sign = 1
-    prev = LaurentPoly.one()
+    pivots, sign, prev = [], 1, [1]
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
@@ -1091,31 +1093,34 @@ def _bareiss(rows, stop_at_missing_pivot: bool):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        for i in range(r + 1, nrows):
+        top = m[r]
+        for row in m[r + 1:]:
             for j in range(c + 1, ncols):
-                m[i][j] = exact_div(m[i][j] * m[r][c] - m[i][c] * m[r][j], prev)
-            m[i][c] = LaurentPoly.zero()
-        prev = m[r][c]
+                s, q, rem = _pdivmod(_sub_mul(top[c], row[j], row[c], top[j]), prev)
+                if s != 1 or rem:
+                    raise InvariantViolation("an inexact division in Bareiss elimination")
+                row[j] = q
+            row[c] = []
+        prev = top[c]
         pivots.append(prev)
         if len(pivots) == nrows:
             break
-    return pivots, sign, lo
+    return pivots, sign, lo, math.prod(dens)
 
 
 def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant: the last Bareiss pivot, or 0 at the first
-    column without a pivot."""
+    """Exact determinant: the last Bareiss pivot over the row denominators,
+    or 0 at the first column without a pivot; one LaurentPoly is built."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
     if n == 0:
         return LaurentPoly.one()
-    pivots, sign, lo = _bareiss(rows, stop_at_missing_pivot=True)
+    pivots, sign, lo, den = _bareiss(rows, stop_at_missing_pivot=True)
     if len(pivots) < n:
         return LaurentPoly.zero()
-    det = pivots[-1] if sign > 0 else -pivots[-1]
-    return det.shift(lo * n)
+    return _poly(pivots[-1] if sign > 0 else [-c for c in pivots[-1]], den, lo * n)
 
 
 def rank(rows: list[list[LaurentPoly]]) -> int:
@@ -1129,20 +1134,25 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _row_ints(a, u, i):
-    """Row i of ``a`` followed by row i of ``u`` as integer polynomials from
-    exponent 0 over one common denominator d; returns (polynomials, d)."""
-    row = a[i] + u[i]
+def _row_ints(row, lo: int = 0):
+    """A row of entries as integer polynomials read from exponent lo over one
+    common denominator d, unscaled ones not copied; returns (polynomials, d)."""
     d = math.lcm(*(e.den for e in row))
-    return [[c * (d // e.den) for c in _padded(e, 0)] for e in row], d
+    out = []
+    for e in row:
+        ints, f = _padded(e, lo) if e else [], d // e.den
+        out.append([c * f for c in ints] if f != 1 else ints)
+    return out, d
 
 
-def _sub_mul(s: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
+def _sub_mul(s: list[int], x: list[int], q: list[int], y: list[int]) -> list[int]:
     """The integer polynomial s * x - q * y."""
-    prod = _convolve(q, y)
-    out = [s * c for c in x] + [0] * (len(prod) - len(x))
+    out, prod = _convolve(s, x), _convolve(q, y)
+    out += [0] * (len(prod) - len(out))
     for i, c in enumerate(prod):
         out[i] -= c
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -1157,13 +1167,13 @@ def _reduce_row(a, u, i, k, pos=None):
     As s > 0, the result is that of the rational row step followed by the
     same division.
     """
-    ri, di = _row_ints(a, u, i)
-    rk, dk = _row_ints(a, u, k)
+    ri, di = _row_ints(a[i] + u[i])
+    rk, dk = _row_ints(a[k] + u[k])
     if pos is None:
         s, q = dk, [-di]
     else:
         s, q, _ = _pdivmod(ri[pos], rk[pos])
-    new = [_sub_mul(s, x, q, y) for x, y in zip(ri, rk)]
+    new = [_sub_mul([s], x, q, y) for x, y in zip(ri, rk)]
     n = len(a[i])
     g = math.gcd(*(c for cs in new[:n] for c in cs)) or s * di
     a[i] = [_poly(cs, g) for cs in new[:n]]

@@ -134,12 +134,14 @@ def _positive_words_by_trace(tau_max: int, top_only: bool = False) -> dict[int, 
         raise ValueError(f"trace bound {tau_max} exceeds the census cap of {CENSUS_TRACE_CAP}")
     buckets: dict[int, list[RLWord]] = {}
 
-    def extend(blocks, weight, matrix, least):
-        (p00, p01), (p10, p11) = matrix
+    def extend(blocks, weight, p00, p01, p10, p11, least):
+        # the prefix matrix [[p00, p01], [p10, p11]] times R^a L^b = [[1 + ab, a], [b, 1]]
         a, b = least
         while p00 * (1 + a) + p01 + p10 * a + p11 <= tau_max:
+            n11 = p10 * a + p11
             while True:
-                tr = p00 * (1 + a * b) + p01 * b + p10 * a + p11
+                n00 = p00 * (1 + a * b) + p01 * b
+                tr = n00 + n11
                 if tr > tau_max:
                     break
                 grown = blocks + ((a, b),)
@@ -148,12 +150,12 @@ def _positive_words_by_trace(tau_max: int, top_only: bool = False) -> dict[int, 
                 if (tr == tau_max or not top_only) and _least_rotation(grown) == grown:
                     buckets.setdefault(tr, []).append(RLWord(grown))
                 if tr < tau_max:
-                    extend(grown, weight + a * b, mat_mul(matrix, ((1 + a * b, a), (b, 1))),
+                    extend(grown, weight + a * b, n00, p00 * a + p01, p10 * (1 + a * b) + p11 * b, n11,
                            grown[0])
                 b += 1
             a, b = a + 1, 1
 
-    extend((), 0, ((1, 0), (0, 1)), (1, 1))
+    extend((), 0, 1, 0, 0, 1, (1, 1))
     return buckets
 
 

@@ -82,8 +82,8 @@ class SpecializedJacobian(NamedTuple):
     def num_relators(self) -> int:
         return len(self.entries)
 
-    def total_norm(self) -> Fraction:
-        return Fraction(sum(sum(map(abs, q.ints)) for row in self.entries for q in row))
+    def total_norm(self) -> int:
+        return sum(sum(map(abs, q.ints)) for row in self.entries for q in row)
 
 
 def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
@@ -160,14 +160,14 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
     if rank_det_mod_p(at)[0] > r:
         raise InvariantViolation("the rank is below the rank at a point mod p")
-    coeff_bound = root_bound(jac.num_generators, jac.complexity) - 1
+    coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
     minors = []
     for ri in itertools.combinations(range(jac.num_relators), r):
         for ci in itertools.combinations(range(jac.num_generators), r):
             d = determinant([[jac.entries[i][j] for j in ci] for i in ri])
             if d.den != 1:
                 raise InvariantViolation("a minor has a non-integer coefficient")
-            if d.norm_l1() > coeff_bound:
+            if sum(map(abs, d.ints)) > coeff_bound:
                 raise InvariantViolation("minor exceeds the m!k^m coefficient bound")
             if value_mod_p(d, _CHECK_POINT) != rank_det_mod_p([[at[i][j] for j in ci] for i in ri])[1]:
                 raise InvariantViolation("a minor disagrees with its determinant mod p")

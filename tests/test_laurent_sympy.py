@@ -1,8 +1,8 @@
 """The integer kernel of the exact core against sympy as an independent
-oracle over QQ: gcd, division with remainder, exact division and the Smith
-invariant factors, on seeded inputs with non-unit leading coefficients,
-rational coefficients, negative exponents and sparse torus-type entries of
-degree over 400."""
+oracle over QQ: gcd, division with remainder, exact division, the Bareiss
+determinant and rank, and the Smith invariant factors, on seeded inputs with
+non-unit leading coefficients, rational coefficients, negative exponents and
+sparse torus-type entries of degree over 400."""
 
 import math
 import random
@@ -11,12 +11,16 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
+import torsionpoly.laurent as laurent_mod
 from torsionpoly.laurent import (
     LaurentPoly,
+    determinant,
     divmod_poly,
     exact_div,
     gcd,
+    rank,
     smith_normal_form,
 )
 
@@ -111,6 +115,12 @@ def test_exact_div_matches_sympy(a, b):
                 exact_div(inexact, b)
 
 
+def sympy_matrix(m):
+    """t^-lo * m over QQ[t], lo = min(0, smallest exponent), and lo."""
+    lo = min([0] + [e.min_exp for row in m for e in row if e])
+    return sympy.Matrix([[to_sympy(e, -lo).as_expr() for e in row] for row in m]), lo
+
+
 def random_matrix(rng):
     nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
     # few terms per entry: U and V swell quickly (the invariant factors do not)
@@ -127,8 +137,75 @@ def test_smith_invariant_factors_match_sympy(seed):
     m = random_matrix(random.Random(seed))
     factors, _ = smith_normal_form(m)
     # Smith runs over Q[t] after the shift t^-lo, lo = min(0, smallest exponent)
-    lo = min([0] + [e.min_exp for row in m for e in row if e])
-    shifted = sympy.Matrix([[to_sympy(e, -lo).as_expr() for e in row] for row in m])
+    shifted, _ = sympy_matrix(m)
     want = [sympy.Poly(f, X, domain=sympy.QQ).monic()
             for f in invariant_factors(shifted, domain=QQ_T) if f]
     assert [to_sympy(f) for f in factors] == want
+
+
+SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (2, 4), (1, 3), (4, 2), (3, 1)]
+
+
+def bareiss_matrix(seed):
+    """A seeded matrix of one of SHAPES (square, wide and tall): a quarter of
+    its entries zero, the rest with rational coefficients whose denominators
+    differ from row to row and negative exponents; every third one is rank
+    deficient."""
+    rng = random.Random(seed)
+    nrows, ncols = SHAPES[seed % len(SHAPES)]
+    m = [[LaurentPoly.zero() if rng.random() < 0.25 else random_poly(rng, terms=3)
+          for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and seed % 3 == 0:
+        f, g = random_poly(rng, terms=2), random_poly(rng, terms=2)
+        m[-1] = [f * a + g * b for a, b in zip(m[0], m[1])]
+    return m
+
+
+# a zero entry read from a negative global shift is the zero polynomial, not
+# a run of zeros that would pass for a pivot
+ZERO_UNDER_SHIFT = [
+    [LaurentPoly.term(3, -2), LaurentPoly.zero(), LaurentPoly.term(1, 1)],
+    [LaurentPoly.zero(), LaurentPoly.t() + LaurentPoly.one(), LaurentPoly.zero()],
+    [LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.term(Fraction(1, 2), -1)],
+]
+
+
+@pytest.mark.parametrize("m", [bareiss_matrix(seed) for seed in range(45)] + [ZERO_UNDER_SHIFT])
+def test_determinant_and_rank_match_sympy(m):
+    shifted, lo = sympy_matrix(m)
+    dm = DomainMatrix.from_Matrix(shifted)
+    assert rank(m) == dm.convert_to(sympy.QQ.frac_field(X)).rank()
+    if len(m) == len(m[0]):
+        want = sympy.Poly(dm.convert_to(QQ_T).det().as_expr(), X, domain=sympy.QQ)
+        # det(t^-lo * rows) = t^(-lo * n) det
+        assert to_sympy(determinant(m), -lo * len(m)) == want
+
+
+def test_bareiss_matrices_cover_the_cases():
+    ms = [bareiss_matrix(seed) for seed in range(45)]
+    assert any(len(m) < len(m[0]) for m in ms) and any(len(m) > len(m[0]) for m in ms)
+    assert any(rank(m) < min(len(m), len(m[0])) for m in ms)
+    assert any(len({math.lcm(*(e.den for e in row)) for row in m}) > 1 for m in ms)
+    assert any(not e for m in ms for row in m for e in row)
+    assert any(e and e.min_exp < 0 for m in ms for row in m for e in row)
+
+
+def test_sylvester_determinant_builds_one_polynomial(monkeypatch):
+    # resultant_lambda(p(lambda), lambda^4 - t) from its 6x6 Sylvester matrix
+    p = [Fraction(2), Fraction(-3, 2), Fraction(1, 3)]  # 2 lambda^2 - 3/2 lambda + 1/3
+    g = [LaurentPoly.one()] + [LaurentPoly.zero()] * 3 + [-LaurentPoly.t()]
+    rows = []
+    for i in range(4):
+        rows.append([LaurentPoly.zero()] * i + [LaurentPoly.constant(c) for c in p]
+                    + [LaurentPoly.zero()] * (3 - i))
+    for i in range(2):
+        rows.append([LaurentPoly.zero()] * i + g + [LaurentPoly.zero()] * (1 - i))
+    built = []
+    real = laurent_mod._poly
+    monkeypatch.setattr(laurent_mod, "_poly", lambda *a: built.append(a) or real(*a))
+    det = determinant(rows)
+    assert len(built) == 1
+    lam = sympy.Symbol("lam")
+    want = sympy.resultant(sum(sympy.Rational(c.numerator, c.denominator) * lam ** (2 - i)
+                               for i, c in enumerate(p)), lam ** 4 - X, lam)
+    assert to_sympy(det) == sympy.Poly(want, X, domain=sympy.QQ)

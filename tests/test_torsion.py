@@ -455,6 +455,46 @@ def test_invariant_violation_survives_optimize():
     ]
 
 
+_BAREISS_FAULTS = """
+import sys
+import torsionpoly.laurent as L
+from torsionpoly.laurent import InvariantViolation, LaurentPoly
+
+t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
+m = [[t, one, zero], [one, t, one], [zero, one, t]]
+real = L._pdivmod
+faults = {
+    "divisor doubled": lambda num, den: real(num, [2 * c for c in den]),
+    "divisor times (t+2)": lambda num, den: real(num, L._convolve(den, [2, 1])),
+}
+print("unfaulted", L.determinant(m).display(), L.rank(m))
+for label, wrong in faults.items():
+    L._pdivmod = wrong
+    for name in ("determinant", "rank"):
+        try:
+            getattr(L, name)(m)
+            print(f"{label} {name}: not caught")
+        except InvariantViolation as exc:
+            print(f"optimize={sys.flags.optimize} {label} {name}: {exc}")
+    L._pdivmod = real
+"""
+
+
+def test_inexact_bareiss_division_survives_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAREISS_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "unfaulted t^3 - 2*t 3",
+        "optimize=1 divisor doubled determinant: an inexact division in Bareiss elimination",
+        "optimize=1 divisor doubled rank: an inexact division in Bareiss elimination",
+        "optimize=1 divisor times (t+2) determinant: an inexact division in Bareiss elimination",
+        "optimize=1 divisor times (t+2) rank: an inexact division in Bareiss elimination",
+    ]
+
+
 _BOUND_FAULTS = """
 import sys
 from fractions import Fraction
