@@ -15,8 +15,8 @@ corresponding infinite cyclic cover; for other inputs the pipeline is
 still well-defined but carries no such topological meaning.
 """
 
-from .freegroup import GroupRingElement, Word, fox_derivative
-from .laurent import LaurentPoly, cauchy_root_radius, complex_roots, determinant, gcd, normalize, rank, smith_normal_form
+from .freegroup import Word
+from .laurent import LaurentPoly, cauchy_root_radius, complex_roots, determinant, gcd, normalize, rank
 from .presentation import (
     FinitePresentation,
     ParseError,
@@ -42,7 +42,6 @@ from .torsion import (
 __all__ = [
     "AnnulusReport",
     "FinitePresentation",
-    "GroupRingElement",
     "InvalidEpimorphism",
     "LaurentPoly",
     "ParseError",
@@ -57,14 +56,12 @@ __all__ = [
     "determinant",
     "enumerate_epimorphisms",
     "exponent_sum_matrix",
-    "fox_derivative",
     "gcd",
     "normalize",
     "parse_presentation",
     "rank",
     "scan",
     "serialize_presentation",
-    "smith_normal_form",
     "specialize_jacobian",
     "torsion_polynomial",
     "validate_epimorphism",

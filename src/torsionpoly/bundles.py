@@ -82,10 +82,6 @@ class AlgebraicMonodromy:
             raise ValueError("monodromy must have determinant 1")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def beta(self) -> int:
-        return len(self.matrix)
-
 
 def monodromy(data: HomologyBundleData) -> AlgebraicMonodromy:
     """Exact product Y * X."""

@@ -63,14 +63,6 @@ class Word:
     def inverse(self) -> "Word":
         return ~self
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return (~self) ** (-n)
-        w = IDENTITY
-        for _ in range(n):
-            w = w * self
-        return w
-
     def max_generator(self) -> int:
         """Largest 0-based generator index appearing, or -1 for the identity."""
         return max((abs(a) for a in self.letters), default=0) - 1

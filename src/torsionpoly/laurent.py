@@ -19,10 +19,12 @@ into square-free factors whose roots the Aberth-Ehrlich iteration locates
 in machine ``complex`` from start points on the Newton polygon, polishes
 every such root by Newton steps that round as the exact step does (in
 fixed point where its error bound decides, else exactly), reports a root
-as real where a sign change proves it, and certifies each reported value
-but a lone root of unity against a backward-error bound, in doubles where
-a rounding-error bound proves it, else exactly.  Only when that fails does
-the rest run in a private mpmath context; mpmath is imported there only.
+as real where a sign change proves it, and certifies each such root
+against a backward-error bound, in doubles where a rounding-error bound
+proves it, else exactly.  Multiplicities come from the exact split alone,
+so each root is reported once and distinct roots are never merged.  Only
+when locating or certifying fails does the rest run in a private mpmath
+context; mpmath is imported there only.
 
 Conventions
 -----------
@@ -952,22 +954,19 @@ def _polished(f: list[int], z: complex) -> complex:
     return z
 
 
-def _located_roots(numbers, p, q, found, factors, tol, seed):
-    """The proven roots ``found`` and, through one number context, those of each
-    square-free factor (Aberth, :func:`_polished`), clustered at tol**0.5; each
-    cluster but a lone proven root is certified."""
-    points = list(found)
+def _located_roots(numbers, p, q, factors, tol, seed):
+    """The roots of each square-free factor through one number context
+    (Aberth, :func:`_polished`), each once with its factor's multiplicity and
+    certified against q."""
+    out = []
     for f, mult in factors:
         polished = [_polished(f, complex(z)) for z in _aberth(numbers, f, seed)]
         if len(set(polished)) < len(polished):
             raise RootFindingError(f"two iterates reached the same root of {p.display()}")
-        points += [(z, mult) for z in polished]
-    out = []
-    for group in _clusters(points, tol ** 0.5):
-        z, m = _centroid([points[i] for i in group])
-        if (len(group) > 1 or group[0] >= len(found)) and not _certified(q, z, tol):
-            raise RootFindingError(f"root residual at {z} exceeds bound for {p.display()}")
-        out.append((z, m))
+        for z in polished:
+            if not _certified(q, z, tol):
+                raise RootFindingError(f"root residual at {z} exceeds bound for {p.display()}")
+            out.append((z, mult))
     return out
 
 
@@ -982,11 +981,12 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     Aberth-Ehrlich iteration locates in machine ``complex`` from start
     points on the Newton polygon of f_i, and Newton steps on f_i, rounded
     as the exact step is, polish; a root is reported real where f_i
-    changes sign between the doubles next to its real part.  Roots within
-    tol**0.5 of each other are clustered (a cluster reports its centroid
-    and summed multiplicity), and each reported value z but a lone root of
-    unity, which exact division proved, is certified against the
-    backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``.
+    changes sign between the doubles next to its real part.  Every
+    multiplicity comes from that exact algebra: each root is reported once,
+    and distinct roots stay apart even when they round to the same double.
+    Each root of a square-free factor is certified against the
+    backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``; a root of
+    unity, which exact division proved, is not.
 
     The cyclotomic split dominates on torus knots (T(80,81), degree 6,320:
     about 0.6 s; T(140,141), degree 19,460: about 7 s) and the O(d^2)
@@ -1009,50 +1009,14 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     found = [(z, m) for n, m in cyclotomic for z in _unit_roots(n)]
     factors = _squarefree_factors(rest) if len(rest) > 1 else []
     try:
-        out = _located_roots(_DOUBLES, p, q, found, factors, tol, seed)
+        out = found + _located_roots(_DOUBLES, p, q, factors, tol, seed)
     except (OverflowError, RootFindingError):
         try:
-            out = _located_roots(_MpNumbers(max(60, 2 * (len(rest) - 1) + 30)), p, q, found, factors, tol, seed)
+            out = found + _located_roots(_MpNumbers(max(60, 2 * (len(rest) - 1) + 30)), p, q, factors, tol, seed)
         except OverflowError as exc:
             raise RootFindingError(f"a root of {p.display()} lies outside the double range") from exc
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
-
-
-def _clusters(roots, radius) -> list[list[int]]:
-    """Single-linkage clustering of (point, multiplicity) pairs, swept by real
-    part: the clusters as ascending index lists, ordered by their least index."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    order = sorted(range(n), key=lambda i: roots[i][0].real)
-    for a, i in enumerate(order):
-        zi = roots[i][0]
-        for b in range(a + 1, n):
-            j = order[b]
-            if roots[j][0].real - zi.real > radius * (1 + 2.0**-40):  # margin for abs()
-                break
-            if abs(zi - roots[j][0]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _centroid(members):
-    """A cluster's weighted centroid (summed in input order) and summed
-    multiplicity; a lone member as it is."""
-    if len(members) == 1:
-        return members[0]
-    mult = sum(m for _, m in members)
-    return sum(z * m for z, m in members) / mult, mult
 
 
 # -- matrices over Q[t, t^-1] ------------------------------------------------

@@ -22,6 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .freegroup import Word
+from .laurent import LaurentPoly, determinant
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")
 _TOKEN_RE = re.compile(r"([A-Za-z][a-z0-9_]*)(?:\^(-?\d+))?$")
@@ -238,18 +239,23 @@ def enumerate_epimorphisms(pres: FinitePresentation, bound: int) -> list[tuple[i
     d = len(basis)
     if d == 0:
         return []
-    # rigorous coefficient box: x = G^-1 B^T v, so |x|_inf <= |G^-1 B^T|_inf * bound
+    # rigorous coefficient box: x = G^-1 B^T v, so |x|_inf <= |G^-1 B^T|_inf * bound,
+    # with G^-1 = adj(G) / det(G) and det(G) > 0 for the Gram matrix G of a basis
     gram = [
         [sum(basis[i][k] * basis[j][k] for k in range(m)) for j in range(d)]
         for i in range(d)
     ]
-    ginv = _fraction_inverse(gram)
-    gb = [
-        [sum(ginv[i][k] * basis[k][j] for k in range(d)) for j in range(m)]
+    adj = [
+        [(-1) ** (i + k) * _int_det([[row[c] for c in range(d) if c != i]
+                                     for r, row in enumerate(gram) if r != k])
+         for k in range(d)]
         for i in range(d)
     ]
-    row_norm = max(sum(abs(x) for x in row) for row in gb)
-    cbound = math.floor(row_norm * bound)
+    adj_b = [
+        [sum(adj[i][k] * basis[k][j] for k in range(d)) for j in range(m)]
+        for i in range(d)
+    ]
+    cbound = max(sum(abs(x) for x in row) for row in adj_b) * bound // _int_det(gram)
     if (2 * cbound + 1) ** d > _ENUMERATION_CAP:
         raise PresentationError("epimorphism enumeration box is too large")
     seen = set()
@@ -271,20 +277,9 @@ def enumerate_epimorphisms(pres: FinitePresentation, bound: int) -> list[tuple[i
     return sorted(seen)
 
 
-def _fraction_inverse(mat: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a small nonsingular integer matrix."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+def _int_det(rows: list[list[int]]) -> int:
+    """The determinant of an integer matrix, by the Bareiss pass of :func:`determinant`."""
+    return int(determinant([[LaurentPoly.constant(x) for x in row] for row in rows]).coeffs.get(0, 0))
 
 
 def complexity_k(pres: FinitePresentation) -> int:

@@ -194,35 +194,6 @@ def ref_exact_div(a, b):
     return out
 
 
-def cluster_all_pairs(roots, radius):
-    """Single-linkage clustering by comparing every pair: the reference for
-    the sweep in ``laurent._clusters``."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i][0] - roots[j][0]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    out = []
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(members[0])
-        else:
-            mult = sum(m for _, m in members)
-            out.append((sum(z * m for z, m in members) / mult, mult))
-    return out
-
-
 # -- brute-force SL2(Z) conjugacy, the oracle for the positive-word census --
 
 SAME_CLASS = "same-class"

@@ -32,7 +32,7 @@ from torsionpoly.laurent import (
 )
 from torsionpoly.presentation import enumerate_epimorphisms
 from torsionpoly.sl2z import RLWord, classes_with_trace, rl_to_matrix
-from torsionpoly.torsion import annulus_certify, scan, specialize_jacobian
+from torsionpoly.torsion import annulus_certify, scan, specialize_jacobian, torsion_polynomial
 
 TOL = 1e-10
 
@@ -119,6 +119,8 @@ def test_criterion_3_cross_pipeline(random_suite):
                 for f in factors[:r]:
                     product = product * f
                 assert via_minors == normalize(product)
+                # the pipeline's proved minor GCD against the Smith product
+                assert torsion_polynomial(jac) == normalize(product)
 
 
 def test_criterion_4_corpus_annulus():

@@ -35,12 +35,17 @@ def test_bundle_data_validates_determinants():
     HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 1], [1, 1]]))
     with pytest.raises(ValueError):
         HomologyBundleData(2, frac_mat([[2, 0], [0, 1]]), frac_mat([[1, 0], [0, 1]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="y must have determinant 1"):
+        HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="y must be integral"):
         HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), [[Fraction(1, 2), 0], [0, 2]])
     with pytest.raises(ValueError):
         HomologyBundleData(0, [], [])
     with pytest.raises(ValueError):
         HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[1, 0, 0], [0, 1, 0]]))
+    for rows in ([[2, 0], [0, 1]], [[-1]]):
+        with pytest.raises(ValueError, match="monodromy must have determinant 1"):
+            AlgebraicMonodromy(rows)
 
 
 def test_monodromy_products():
@@ -57,6 +62,11 @@ def test_charpoly_examples():
     assert charpoly(frac_mat([[2, 1], [1, 1]])) == lp(1, -3, 1)
     assert charpoly(frac_mat([[1, 0], [0, 1]])) == lp(1, -2, 1)
     assert charpoly(frac_mat([[0, -1], [1, 0]])) == lp(1, 0, 1)
+    # odd beta flips the sign of det(phi - tI); sympy's charpoly is det(tI - phi)
+    for rows in ([[1]], [[-1]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+                 [[1, 2, 3], [0, 1, 4], [5, 6, 0]], [[Fraction(1, 2), 0, 0], [0, 2, 0], [3, 0, 1]]):
+        want = sympy.Matrix(rows).charpoly().all_coeffs()[::-1]
+        assert charpoly(frac_mat(rows)) == lp(*(Fraction(int(c.p), int(c.q)) for c in want))
 
 
 def test_charpoly_constant_term_is_unit():
@@ -181,6 +191,8 @@ def test_candidates_guards():
         enumerate_candidate_charpolys(4, 10, 100)
     with pytest.raises(ValueError):
         enumerate_candidate_charpolys(2, 1, Fraction(1, 2))
+    with pytest.raises(ValueError, match="denominator bound must be >= 1"):
+        enumerate_candidate_charpolys(2, 0, 2)
 
 
 def test_candidates_denominators():

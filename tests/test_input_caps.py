@@ -1,6 +1,7 @@
 """Inputs whose size would exhaust memory or time are refused up front:
-letters of a presentation, letters of a mapping-torus matrix, the power
-of a mapping-torus cover, and the trace bound of the SL2(Z) census."""
+letters of a presentation, the box of the epimorphism enumeration, letters
+of a mapping-torus matrix, the power of a mapping-torus cover, and the trace
+bound of the SL2(Z) census."""
 
 import os
 import subprocess
@@ -9,9 +10,13 @@ import sys
 import pytest
 
 import torsionpoly
+from helpers import brute_force_epimorphisms
 from torsionpoly import bundles, cli, presentation, sl2z
 from torsionpoly.cli import main
-from torsionpoly.presentation import ParseError, parse_presentation
+from torsionpoly.presentation import (
+    ParseError, PresentationError, enumerate_epimorphisms, exponent_sum_matrix,
+    parse_presentation,
+)
 
 # Runs the CLI in a child whose address space is capped at 1 GiB, so an
 # expansion that slipped past a refusal fails fast instead of taking the host.
@@ -64,6 +69,36 @@ def test_huge_exponent_refused_before_expanding(tmp_path):
     proc = run_capped("torsion", "--pres", str(f), "--psi", "1")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line 2, column 6: the presentation expands to more than")
+
+
+# -- box of the epimorphism enumeration ---------------------------------------
+
+# a kernel of dimension 5 whose Gram matrix has negative entries; the row norm
+# of G^-1 B^T is 3/2, so bound 2 gives coefficients in [-3, 3], a box of 7^5
+SEVEN_GENERATORS = "gens: a, b, c, d, e, f, g\nrel: a b c D\nrel: e f G\n"
+
+
+def test_enumeration_box_refused_one_past_the_cap(monkeypatch):
+    pres = parse_presentation(SEVEN_GENERATORS)
+    basis = presentation._kernel_basis(exponent_sum_matrix(pres), 7)
+    assert len(basis) == 5
+    assert any(sum(x * y for x, y in zip(u, v)) < 0 for u in basis for v in basis)
+    monkeypatch.setattr(presentation, "_ENUMERATION_CAP", 7**5 - 1)
+    with pytest.raises(PresentationError, match="enumeration box is too large"):
+        enumerate_epimorphisms(pres, 2)
+    monkeypatch.setattr(presentation, "_ENUMERATION_CAP", 7**5)
+    assert enumerate_epimorphisms(pres, 2) == brute_force_epimorphisms(pres, 2)
+
+
+def test_free_group_box_refused_before_enumerating(tmp_path, capsys):
+    # 8 free generators at bound 4: a box of 9^8 > 10^7 points
+    text = "gens: a, b, c, d, e, f, g, h\n"
+    with pytest.raises(PresentationError, match="enumeration box is too large"):
+        enumerate_epimorphisms(parse_presentation(text), 4)
+    f = tmp_path / "free8.pres"
+    f.write_text(text)
+    assert main(["scan", "--pres", str(f), "--bound", "4"]) == 1
+    assert "epimorphism enumeration box is too large" in capsys.readouterr().err
 
 
 # -- letters of a mapping-torus matrix ---------------------------------------

@@ -1,9 +1,10 @@
 """Numeric roots against sympy as an independent oracle, the exact
 cyclotomic split, the residual certificate in doubles and in integers,
-clustering, the mpmath fallback of :func:`complex_roots`, and its kernels:
-closed-form roots of unity against mpmath, fixed-point Newton steps against
-exact ones, Newton-polygon start points, real roots proved by a sign
-change, and a guard on the largest full report the degree budget admits."""
+distinct roots reported apart however close, the mpmath fallback of
+:func:`complex_roots`, and its kernels: closed-form roots of unity against
+mpmath, fixed-point Newton steps against exact ones, Newton-polygon start
+points, real roots proved by a sign change, and a guard on the largest
+full report the degree budget admits."""
 
 import cmath
 import itertools
@@ -22,7 +23,7 @@ import pytest
 import sympy
 
 import torsionpoly.laurent as laurent_mod
-from helpers import cluster_all_pairs, sympy_roots
+from helpers import sympy_roots
 from torsionpoly.laurent import LaurentPoly, RootFindingError, complex_roots
 from torsionpoly.presentation import parse_presentation
 from torsionpoly.torsion import annulus_certify
@@ -182,13 +183,15 @@ def test_polishing_settles_ill_conditioned_roots():
     assert all(abs(z.imag) < 1e-30 for z, _ in roots)
 
 
-def test_reports_cluster_centroid_within_tol_sqrt():
-    # distinct roots 1 and 1 + 1e-6 are closer than tol**0.5 = 1e-5
+def test_reports_distinct_close_roots_apart():
+    # multiplicities come from the exact square-free split only, so roots
+    # closer than any numeric radius are still two roots of multiplicity 1
     p = (T - ONE) * (T - lp(Fraction(1000001, 1000000)))
+    assert complex_roots(p, TOL) == [(1 + 0j, 1), (1.000001 + 0j, 1)]
+    p = lp(-999, 1000) * lp(-1000, 1001)
     roots = complex_roots(p, TOL)
-    assert len(roots) == 1 and roots[0][1] == 2
-    assert abs(roots[0][0] - (1 + 5e-7)) < 1e-12
-    assert certified(p, roots[0][0], TOL)
+    assert roots == [(0.999 + 0j, 1), (0.999000999000999 + 0j, 1)]
+    match_oracle(p, roots)
 
 
 def test_degree_60_planted_square_runs_yun():
@@ -358,30 +361,6 @@ def test_large_coefficients_take_the_exact_path():
     assert laurent_mod._certified_in_doubles([-2, 0, 1], complex(math.sqrt(2)), TOL)
 
 
-# -- clustering ---------------------------------------------------------------
-
-
-def test_sweep_clustering_matches_all_pairs():
-    rng = random.Random(5)
-    radius = 1e-5
-    for _ in range(200):
-        points = []
-        for _ in range(rng.randint(0, 25)):
-            kind = rng.random()
-            if kind < 0.3 and points:  # near-duplicate of an earlier point
-                z = rng.choice(points)[0] + cmath.rect(rng.uniform(0, 2 * radius), rng.uniform(0, 7))
-            elif kind < 0.5 and points:  # straddling the radius, same real part
-                z = rng.choice(points)[0] + complex(0, radius * rng.choice([1, 1 + 1e-16, 1 - 1e-16, 1.5]))
-            elif kind < 0.6 and points:  # straddling the radius along the real axis
-                z = rng.choice(points)[0] + radius * rng.choice([1, -1, 1 + 2**-52, 1 - 2**-52])
-            else:
-                z = complex(rng.choice([0.0, 1.0, rng.uniform(-2, 2)]), rng.uniform(-2, 2))
-            points.append((z, rng.randint(1, 3)))
-        swept = [laurent_mod._centroid([points[i] for i in group])
-                 for group in laurent_mod._clusters(points, radius)]
-        assert swept == cluster_all_pairs(points, radius)
-
-
 # -- cost guard ---------------------------------------------------------------
 
 
@@ -449,10 +428,10 @@ def test_proven_roots_of_unity_are_not_recertified(monkeypatch):
     monkeypatch.setattr(laurent_mod, "_certified", spy)
     roots = complex_roots(T**60 - ONE, TOL)
     assert len(roots) == 60 and calls == []
-    # a root of unity merged with an Aberth root is certified, once, as the centroid
+    # beside a root of unity, only the Aberth root is certified, and once
     p = (T - ONE) * (T - lp(Fraction(1000001, 1000000)))
     roots = complex_roots(p, TOL)
-    assert calls == [roots[0][0]] and roots[0][1] == 2
+    assert calls == [1.000001 + 0j] and roots == [(1 + 0j, 1), (1.000001 + 0j, 1)]
 
 
 # -- fixed-point Newton steps ---------------------------------------------------

@@ -289,8 +289,9 @@ def test_specialization_matches_group_ring_oracle():
         ((1, -3, 1), 3, False),  # roots 0.38 and 2.62 inside [1/3, 3]
         ((-3, 1), 2, True),  # root 3 outside [1/2, 2]
         ((-2, 1), 2, False),  # root 2 on the boundary
+        ((-3, 1), 10**400, False),  # c past the double range reads as inf
     ],
-    ids=["pass", "fail", "boundary"],
+    ids=["pass", "fail", "boundary", "huge-c"],
 )
 def test_leaves_annulus_and_candidate_filter(coeffs, c, rejected):
     p, c = lp(*coeffs), Fraction(c)
