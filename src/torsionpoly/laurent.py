@@ -104,7 +104,7 @@ class LaurentPoly:
 
     @classmethod
     def term(cls, coeff, exp: int) -> "LaurentPoly":
-        r = Fraction(coeff)
+        r = coeff if isinstance(coeff, int) else Fraction(coeff)
         return _poly((r.numerator,), r.denominator, exp)
 
     @classmethod
@@ -1032,16 +1032,18 @@ def _global_shift(rows):
     return min([0] + [e.lo for row in rows for e in row if e])
 
 
-def _bareiss(rows, stop_at_missing_pivot: bool):
+def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
     """Fraction-free Bareiss elimination on integer polynomials; returns
-    (pivots as integer lists, row-swap sign, lo, den).
+    (pivots as integer lists, row-swap sign, lo, den, integer rows).
 
     Each row is read once as integer polynomials from the global exponent
     lo, which clears negative exponents, over its common denominator d_i;
     so det(A) = det(integer rows) / den * t^(lo * n), den the product of
     the d_i.  Each division by the previous pivot is then exact in Z[t]
     (Bareiss 1968), else :class:`InvariantViolation`.  A column with no
-    pivot is skipped, or ends the pass if ``stop_at_missing_pivot``.
+    pivot is skipped, or ends the pass if ``stop_at_missing_pivot``.  With
+    ``reduce_above`` the rows above each pivot are reduced too (Gauss-Jordan),
+    so past the pivot columns every row ends over the last pivot.
     """
     lo = _global_shift(rows)
     m, dens = map(list, zip(*(_row_ints(row, lo) for row in rows)))
@@ -1058,7 +1060,9 @@ def _bareiss(rows, stop_at_missing_pivot: bool):
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
         top = m[r]
-        for row in m[r + 1:]:
+        for row in m[:r] + m[r + 1:] if reduce_above else m[r + 1:]:
+            if not row[c] and top[c] == prev:  # the step leaves this row as it is
+                continue
             for j in range(c + 1, ncols):
                 s, q, rem = _pdivmod(_sub_mul(top[c], row[j], row[c], top[j]), prev)
                 if s != 1 or rem:
@@ -1069,7 +1073,7 @@ def _bareiss(rows, stop_at_missing_pivot: bool):
         pivots.append(prev)
         if len(pivots) == nrows:
             break
-    return pivots, sign, lo, math.prod(dens)
+    return pivots, sign, lo, math.prod(dens), m
 
 
 def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -1081,17 +1085,30 @@ def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             raise ValueError("determinant requires a square matrix")
     if n == 0:
         return LaurentPoly.one()
-    pivots, sign, lo, den = _bareiss(rows, stop_at_missing_pivot=True)
+    pivots, sign, lo, den, _ = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=False)
     if len(pivots) < n:
         return LaurentPoly.zero()
     return _poly(pivots[-1] if sign > 0 else [-c for c in pivots[-1]], den, lo * n)
+
+
+def solve_scaled(rows) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
+    """(p, P) with A * P == p * B, p != 0, for rows [A | B] with A nonsingular
+    and square, by one fraction-free Gauss-Jordan pass that leaves every row
+    over the last pivot p (row denominators and the t-shift scale A and B alike)."""
+    n = len(rows)
+    if n == 0 or any(len(row) < n for row in rows):
+        raise ValueError("solve_scaled requires rows [A | B] with A square")
+    pivots, _, _, _, m = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=True)
+    if len(pivots) < n:
+        raise ZeroDivisionError("solve_scaled requires a nonsingular matrix")
+    return _poly(pivots[-1]), [[_poly(x) for x in row[n:]] for row in m]
 
 
 def rank(rows: list[list[LaurentPoly]]) -> int:
     """Rank over the fraction field Q(t): the number of Bareiss pivots."""
     if not rows or not rows[0]:
         return 0
-    return len(_bareiss(rows, stop_at_missing_pivot=False)[0])
+    return len(_bareiss(rows, stop_at_missing_pivot=False, reduce_above=False)[0])
 
 
 def _transpose(m):

@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .freegroup import Word
-from .laurent import LaurentPoly, determinant
+from .laurent import LaurentPoly, solve_scaled
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")
 _TOKEN_RE = re.compile(r"([A-Za-z][a-z0-9_]*)(?:\^(-?\d+))?$")
@@ -239,23 +239,15 @@ def enumerate_epimorphisms(pres: FinitePresentation, bound: int) -> list[tuple[i
     d = len(basis)
     if d == 0:
         return []
-    # rigorous coefficient box: x = G^-1 B^T v, so |x|_inf <= |G^-1 B^T|_inf * bound,
-    # with G^-1 = adj(G) / det(G) and det(G) > 0 for the Gram matrix G of a basis
+    # rigorous coefficient box: v = B^T x gives x = G^-1 B v (G = B B^T), so
+    # |x|_inf <= |G^-1 B|_inf * bound; one fraction-free pass gives the integers
+    # p and p * G^-1 B
     gram = [
         [sum(basis[i][k] * basis[j][k] for k in range(m)) for j in range(d)]
         for i in range(d)
     ]
-    adj = [
-        [(-1) ** (i + k) * _int_det([[row[c] for c in range(d) if c != i]
-                                     for r, row in enumerate(gram) if r != k])
-         for k in range(d)]
-        for i in range(d)
-    ]
-    adj_b = [
-        [sum(adj[i][k] * basis[k][j] for k in range(d)) for j in range(m)]
-        for i in range(d)
-    ]
-    cbound = max(sum(abs(x) for x in row) for row in adj_b) * bound // _int_det(gram)
+    p, pgb = solve_scaled([[LaurentPoly.constant(x) for x in g + b] for g, b in zip(gram, basis)])
+    cbound = max(sum(abs(c) for x in row for c in x.ints) for row in pgb) * bound // abs(p.ints[0])
     if (2 * cbound + 1) ** d > _ENUMERATION_CAP:
         raise PresentationError("epimorphism enumeration box is too large")
     seen = set()
@@ -275,11 +267,6 @@ def enumerate_epimorphisms(pres: FinitePresentation, bound: int) -> list[tuple[i
             v = tuple(-x for x in v)
         seen.add(v)
     return sorted(seen)
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """The determinant of an integer matrix, by the Bareiss pass of :func:`determinant`."""
-    return int(determinant([[LaurentPoly.constant(x) for x in row] for row in rows]).coeffs.get(0, 0))
 
 
 def complexity_k(pres: FinitePresentation) -> int:

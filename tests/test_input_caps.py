@@ -6,6 +6,7 @@ bound of the SL2(Z) census."""
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -91,11 +92,16 @@ def test_enumeration_box_refused_one_past_the_cap(monkeypatch):
 
 
 def test_free_group_box_refused_before_enumerating(tmp_path, capsys):
-    # 8 free generators at bound 4: a box of 9^8 > 10^7 points
-    text = "gens: a, b, c, d, e, f, g, h\n"
+    # 40 free generators at bound 4: a box of 9^40 points, refused after one
+    # fraction-free pass over the 40 x 40 identity Gram matrix (milliseconds);
+    # the time bound catches a precheck of d^2 cofactor determinants, which
+    # grows as d^5 and takes tens of seconds at d = 40
+    text = "gens: " + ", ".join(f"x{i}" for i in range(40)) + "\n"
+    start = time.perf_counter()
     with pytest.raises(PresentationError, match="enumeration box is too large"):
         enumerate_epimorphisms(parse_presentation(text), 4)
-    f = tmp_path / "free8.pres"
+    assert time.perf_counter() - start < 2.0
+    f = tmp_path / "free40.pres"
     f.write_text(text)
     assert main(["scan", "--pres", str(f), "--bound", "4"]) == 1
     assert "epimorphism enumeration box is too large" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from torsionpoly.laurent import (
     gcd,
     rank,
     smith_normal_form,
+    solve_scaled,
 )
 
 X = sympy.Symbol("t")
@@ -179,6 +180,43 @@ def test_determinant_and_rank_match_sympy(m):
         want = sympy.Poly(dm.convert_to(QQ_T).det().as_expr(), X, domain=sympy.QQ)
         # det(t^-lo * rows) = t^(-lo * n) det
         assert to_sympy(determinant(m), -lo * len(m)) == want
+
+
+def _ints(rows):
+    return [[LaurentPoly.constant(x) for x in row] for row in rows]
+
+
+# row swaps, zero pivot-column entries that the pass leaves alone (pivot equal
+# to the previous one) or must scale (pivot not equal to it), and the identity
+SOLVE_CASES = [m for m in (bareiss_matrix(seed) for seed in range(45))
+               if len(m) == len(m[0]) and determinant(m)] + [ZERO_UNDER_SHIFT] + [
+    _ints([[0, 2, 1], [3, 1, 0], [1, 0, 4]]),
+    _ints([[1, 0, 2], [0, 1, 3], [4, 5, 1]]),
+    _ints([[2, 0, 0], [0, 3, 0], [0, 0, 5]]),
+    _ints([[1 if i == j else 0 for j in range(4)] for i in range(4)]),
+]
+
+
+@pytest.mark.parametrize("m", SOLVE_CASES)
+def test_solve_scaled_solves_exactly(m):
+    rng = random.Random(len(m))
+    rhs = [[LaurentPoly.zero() if rng.random() < 0.25 else random_poly(rng, terms=3)
+            for _ in range(3)] for _ in m]
+    p, sol = solve_scaled([a + b for a, b in zip(m, rhs)])
+    assert p and all(e.den == 1 for row in sol for e in row)
+    for i, row in enumerate(m):
+        for j in range(3):
+            acc = LaurentPoly.zero()
+            for k, a in enumerate(row):
+                acc = acc + a * sol[k][j]
+            assert acc == p * rhs[i][j]
+
+
+def test_solve_scaled_refuses_singular_and_nonsquare():
+    with pytest.raises(ZeroDivisionError):
+        solve_scaled(_ints([[1, 2, 1], [2, 4, 1]]))
+    with pytest.raises(ValueError):
+        solve_scaled(_ints([[1], [2]]))
 
 
 def test_bareiss_matrices_cover_the_cases():
