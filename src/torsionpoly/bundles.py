@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .freegroup import Word
 from .laurent import (
@@ -44,43 +45,42 @@ def _as_matrix(rows, beta: int) -> tuple[tuple[Fraction, ...], ...]:
     return m
 
 
-@dataclass(frozen=True)
-class HomologyBundleData:
+class HomologyBundleData(namedtuple("HomologyBundleData", "beta x y")):
     """First-homology data of a rational-homology F x I with a gluing.
 
     ``x`` is the rational matrix of the through-the-cobordism composition
     (det 1 exactly), ``y`` the integral matrix of the gluing (det 1).
     """
 
-    beta: int
-    x: tuple[tuple[Fraction, ...], ...]
-    y: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __init__(self, beta: int, x, y):
+    def __new__(cls, beta: int, x, y):
         if beta < 1:
             raise ValueError("beta must be a positive integer")
-        object.__setattr__(self, "beta", int(beta))
-        object.__setattr__(self, "x", _as_matrix(x, beta))
-        object.__setattr__(self, "y", _as_matrix(y, beta))
-        if not _has_det_one(self.x):
+        x, y = _as_matrix(x, beta), _as_matrix(y, beta)
+        if not _has_det_one(x):
             raise ValueError("x must have determinant 1")
-        if not _has_det_one(self.y):
+        if not _has_det_one(y):
             raise ValueError("y must have determinant 1")
-        if any(v.denominator != 1 for row in self.y for v in row):
+        if any(v.denominator != 1 for row in y for v in row):
             raise ValueError("y must be integral")
+        return super().__new__(cls, int(beta), x, y)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class AlgebraicMonodromy:
+class AlgebraicMonodromy(namedtuple("AlgebraicMonodromy", "matrix")):
     """The composition matrix Y * X; determinant 1 by construction."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __init__(self, matrix):
+    def __new__(cls, matrix):
         m = _as_matrix(matrix, len(matrix))
         if not _has_det_one(m):
             raise ValueError("monodromy must have determinant 1")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 def monodromy(data: HomologyBundleData) -> AlgebraicMonodromy:
@@ -151,8 +151,7 @@ def mapping_torus_presentation(a) -> tuple[FinitePresentation, tuple[int, int, i
     return pres, (0, 0, 1)
 
 
-@dataclass(frozen=True)
-class MonodromyTorsionReport:
+class MonodromyTorsionReport(NamedTuple):
     """Cross-check of the Fox pipeline against det(phi - tI) for a torus bundle."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -200,8 +199,7 @@ def _resultant_power(p: LaurentPoly, n: int) -> LaurentPoly:
     return determinant(rows)
 
 
-@dataclass(frozen=True)
-class PowerCoverReport:
+class PowerCoverReport(NamedTuple):
     """Root-power check: charpoly(A^n) against {root^n of charpoly(A)}."""
 
     matrix: tuple[tuple[int, ...], ...]

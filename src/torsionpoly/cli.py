@@ -6,7 +6,9 @@ and power covers), ``sol-census`` (hyperbolic monodromy census).  Exit
 codes: 0 success, 1 input error or refusal, 2 a failed ``mapping-torus``
 cross-check.  JSON output is byte-deterministic for fixed inputs and seed.
 ``bundles`` and ``sl2z`` are imported inside the commands that run them, so
-a ``torsion`` or ``scan`` process never loads them.
+a ``torsion`` or ``scan`` process never loads them.  Every record of the
+package is a named tuple, so no subcommand pays for a record decorator's
+imports.
 """
 
 from __future__ import annotations
@@ -197,21 +199,17 @@ def cmd_sol_census(args) -> int:
     from .sl2z import inverse_class, rl_to_matrix
     c_str, bound, census = _census(args)
 
-    def record(w) -> dict:
+    def derived(w) -> tuple:
         inv = inverse_class(w)
-        return {
-            "word": w.display(),
-            "matrix": [list(r) for r in rl_to_matrix(w)],
-            "reciprocal_class": inv.display(),
-            "ambichiral": inv == w,  # census words are canonical
-        }
+        return w.display(), rl_to_matrix(w), inv.display(), inv == w  # census words are canonical
 
     if args.json:
+        keys = ("word", "matrix", "reciprocal_class", "ambichiral")
         doc = {
             "c": c_str,
             "trace_bound": bound,
             "census": [
-                {"trace": tau, "count": len(words), "classes": [record(w) for w in words]}
+                {"trace": tau, "count": len(words), "classes": [dict(zip(keys, derived(w))) for w in words]}
                 for tau, words in census
             ],
         }
@@ -221,10 +219,9 @@ def cmd_sol_census(args) -> int:
             print("empty census (no hyperbolic traces within the bound)")
         for tau, words in census:
             print(f"trace {tau}: {len(words)} class(es)")
-            for w in words:
-                inv = inverse_class(w)  # census words are canonical
-                tag = "self-reciprocal" if inv == w else f"reciprocal: {inv.display()}"
-                print(f"  {w.display()}  {rl_to_matrix(w)}  [{tag}]")
+            for word, mat, inv, ambichiral in map(derived, words):
+                tag = "self-reciprocal" if ambichiral else f"reciprocal: {inv}"
+                print(f"  {word}  {mat}  [{tag}]")
     return EXIT_OK
 
 

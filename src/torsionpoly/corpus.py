@@ -9,13 +9,12 @@ runs, but the topological interpretation is the caller's responsibility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentation import FinitePresentation, parse_presentation
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     description: str
     text: str

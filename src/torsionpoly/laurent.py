@@ -859,8 +859,10 @@ def _polish(f: list[int], z: complex) -> complex:
     exactly where that cannot decide the rounding, and is the exactly
     rounded step either way; below it the exact step is the cheaper.
 
-    An iterate of the double stage settles in one step; an ill-conditioned
-    root (such as those of prod (t - k), k <= 20) takes a few more.
+    An iterate of the double stage settles in one step.  From the double
+    stage's iterates the steps do not settle on ill-conditioned roots, such
+    as those of prod (t - k), k <= 20; :class:`RootFindingError` then sends
+    the factor to the mpmath stage of :func:`complex_roots`.
     """
     for _ in range(_POLISH_STEPS):
         nxt = _newton_fixed(f, z) if len(f) > _FIXED_STEP_LENGTH else None
@@ -944,13 +946,27 @@ def _real_root_near(f: list[int], x: float) -> bool:
     return _sign_at(f, math.nextafter(x, -math.inf)) * _sign_at(f, math.nextafter(x, math.inf)) < 0
 
 
+def _imaginary_root_near(f: list[int], y: float) -> bool:
+    """Whether f has a root iy' with y' between the doubles next to y: with
+    f(iy) = A(y) + iB(y) for integer A and B, whether gcd(A, B) changes sign
+    there (:func:`_real_root_near`)."""
+    parts = [[0] * len(f), [0] * len(f)]
+    for k, c in enumerate(f):
+        parts[k % 2][k] = c if k % 4 < 2 else -c  # i^k is 1, i, -1, -i
+    return _real_root_near(list(gcd(_poly(parts[0]), _poly(parts[1])).ints), y)
+
+
 def _polished(f: list[int], z: complex) -> complex:
     """z polished on the integer polynomial f (:func:`_polish`), with its
     imaginary part dropped if that is below an ulp of the real part and
-    :func:`_real_root_near` proves a real root there."""
+    :func:`_real_root_near` proves a real root there, and its real part set
+    to +0.0 if that is below an ulp of the imaginary part and
+    :func:`_imaginary_root_near` proves a root on the imaginary axis there."""
     z = _polish(f, z)
     if z.imag and abs(z.imag) <= 2.0**-52 * abs(z.real) and _real_root_near(f, z.real):
         return complex(z.real)
+    if z.real and abs(z.real) <= 2.0**-52 * abs(z.imag) and _imaginary_root_near(f, z.imag):
+        return complex(0.0, z.imag)
     return z
 
 
@@ -981,7 +997,9 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     Aberth-Ehrlich iteration locates in machine ``complex`` from start
     points on the Newton polygon of f_i, and Newton steps on f_i, rounded
     as the exact step is, polish; a root is reported real where f_i
-    changes sign between the doubles next to its real part.  Every
+    changes sign between the doubles next to its real part, and purely
+    imaginary where gcd(Re f_i(iy), Im f_i(iy)) does so next to its
+    imaginary part.  Every
     multiplicity comes from that exact algebra: each root is reported once,
     and distinct roots stay apart even when they round to the same double.
     Each root of a square-free factor is certified against the

@@ -13,7 +13,7 @@ conjugation BFS, an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .laurent import InvariantViolation
@@ -24,8 +24,9 @@ R_MAT: Mat2 = ((1, 1), (0, 1))
 L_MAT: Mat2 = ((1, 0), (1, 1))
 
 # Largest trace bound the census sweeps: the number of classes grows like
-# its square (157,256 classes at 1,000, swept in 0.95 s on a 2-vCPU Xeon
-# host; `sol-census --json` prints them in about 11 s).
+# its square (157,256 classes at 1,000, swept in about 0.3 s on a shared
+# 2-vCPU Xeon host; `sol-census` prints them in about 1.7 s, and with
+# `--json` in about 3.7 s at a 408 MB peak).
 CENSUS_TRACE_CAP = 1000
 
 
@@ -55,24 +56,25 @@ def det(x: Mat2) -> int:
     return x[0][0] * x[1][1] - x[0][1] * x[1][0]
 
 
-@dataclass(frozen=True)
-class RLWord:
+class RLWord(namedtuple("RLWord", "blocks sign")):
     """A hyperbolic conjugacy class: sign * R^a1 L^b1 ... R^ak L^bk.
 
     Blocks are positive pairs; the canonical form is the lexicographically
     least cyclic rotation of the block sequence.
     """
 
-    blocks: tuple[tuple[int, int], ...]
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __new__(cls, blocks: tuple[tuple[int, int], ...], sign: int = 1):
+        if not blocks:
             raise ValueError("an R/L word needs at least one block")
-        if any(a < 1 or b < 1 for a, b in self.blocks):
+        if any(a < 1 or b < 1 for a, b in blocks):
             raise ValueError("block exponents must be >= 1")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, blocks, sign)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def weight(self) -> int:
         return sum(a * b for a, b in self.blocks)
@@ -83,6 +85,12 @@ class RLWord:
             for a, b in self.blocks
         )
         return body if self.sign == 1 else f"-({body})"
+
+
+def _word(blocks: tuple[tuple[int, int], ...], sign: int = 1) -> RLWord:
+    """``RLWord(blocks, sign)`` without its checks, which builds every word the
+    census sweep makes or derives from a checked word."""
+    return tuple.__new__(RLWord, (blocks, sign))
 
 
 def rl_to_matrix(word: RLWord) -> Mat2:
@@ -99,7 +107,7 @@ def _least_rotation(blocks: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int
 
 def canonicalize(word: RLWord) -> RLWord:
     """Lexicographically least cyclic rotation of the blocks; idempotent."""
-    return RLWord(_least_rotation(word.blocks), word.sign)
+    return _word(_least_rotation(word.blocks), word.sign)
 
 
 def inverse_class(word: RLWord) -> RLWord:
@@ -109,7 +117,7 @@ def inverse_class(word: RLWord) -> RLWord:
     the block sequence while swapping each (a, b).
     """
     swapped = tuple((b, a) for a, b in reversed(word.blocks))
-    return canonicalize(RLWord(swapped, word.sign))
+    return _word(_least_rotation(swapped), word.sign)
 
 
 def _positive_words_by_trace(tau_max: int, top_only: bool = False) -> dict[int, list[RLWord]]:
@@ -148,7 +156,7 @@ def _positive_words_by_trace(tau_max: int, top_only: bool = False) -> dict[int, 
                 if weight + a * b > tr - 2:
                     raise InvariantViolation("positive word exceeds the trace weight bound")
                 if (tr == tau_max or not top_only) and _least_rotation(grown) == grown:
-                    buckets.setdefault(tr, []).append(RLWord(grown))
+                    buckets.setdefault(tr, []).append(_word(grown))
                 if tr < tau_max:
                     extend(grown, weight + a * b, n00, p00 * a + p01, p10 * (1 + a * b) + p11 * b, n11,
                            grown[0])
@@ -168,7 +176,7 @@ def classes_with_trace(tau: int) -> list[RLWord]:
     if abs(tau) <= 2:
         raise ValueError(f"trace {tau} is not hyperbolic")
     if tau < 0:
-        return [RLWord(w.blocks, -1) for w in classes_with_trace(-tau)]
+        return [_word(w.blocks, -1) for w in classes_with_trace(-tau)]
     return _positive_words_by_trace(tau, top_only=True).get(tau, [])
 
 
@@ -190,5 +198,5 @@ def sol_candidates(c) -> list[tuple[int, list[RLWord]]]:
     for tau in range(3, top + 1):
         pos = buckets.get(tau, [])
         out.append((tau, pos))
-        out.append((-tau, [RLWord(w.blocks, -1) for w in pos]))
+        out.append((-tau, [_word(w.blocks, -1) for w in pos]))
     return out

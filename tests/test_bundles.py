@@ -48,6 +48,49 @@ def test_bundle_data_validates_determinants():
             AlgebraicMonodromy(rows)
 
 
+def test_bundle_records_reject_bad_construction():
+    x, y = frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 1], [1, 1]])
+    data = HomologyBundleData(2, x, y)
+    for fields, message in (
+        ((2, frac_mat([[2, 0], [0, 1]]), y), "x must have determinant 1"),
+        ((2, x, frac_mat([[2, 0], [0, 1]])), "y must have determinant 1"),
+        ((2, x, [[Fraction(1, 2), 0], [0, 2]]), "y must be integral"),
+        ((0, [], []), "beta must be a positive integer"),
+        ((2, x, frac_mat([[1, 0, 0], [0, 1, 0]])), "expected a 2x2 matrix"),
+    ):
+        for build in (lambda: HomologyBundleData(*fields), lambda: HomologyBundleData._make(fields),
+                      lambda: data._replace(beta=fields[0], x=fields[1], y=fields[2])):
+            with pytest.raises(ValueError, match=message):
+                build()
+    phi = AlgebraicMonodromy(y)
+    for rows, message in (([[2, 0], [0, 1]], "monodromy must have determinant 1"),
+                          ([[1, 0], [0]], "expected a 2x2 matrix")):
+        for build in (lambda: AlgebraicMonodromy(rows), lambda: AlgebraicMonodromy._make((rows,)),
+                      lambda: phi._replace(matrix=rows)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    assert data._replace(y=[[1, 1], [0, 1]]).y == ((1, 1), (0, 1))
+
+
+def test_bundle_records_are_immutable_values():
+    a = [[2, 1], [1, 1]]
+    for make, other in (
+        (lambda: HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), a),
+         HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), [[1, 1], [0, 1]])),
+        (lambda: AlgebraicMonodromy(a), AlgebraicMonodromy([[1, 1], [0, 1]])),
+        (lambda: verify_monodromy_torsion(a), verify_monodromy_torsion([[3, 2], [1, 1]])),
+        (lambda: power_cover(a, 2), power_cover(a, 3)),
+    ):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second) and len({first, second}) == 1
+        assert first != other
+        for name in (*first._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(first, name, None)
+        assert first == second
+
+
 def test_monodromy_products():
     data = HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 1], [1, 1]]))
     assert monodromy(data).matrix == ((2, 1), (1, 1))

@@ -219,20 +219,31 @@ import io, sys
 preloaded = set(sys.modules)
 from torsionpoly import cli
 UNUSED = ("torsionpoly.bundles", "torsionpoly.sl2z", "torsionpoly.corpus", "dataclasses", "mpmath")
+LATER = ("dataclasses", "inspect", "ast", "dis", "mpmath")
 for argv in (["torsion", "--psi", "1,1", "--certify-only"], ["torsion", "--psi", "1,1"],
              ["scan", "--bound", "2", "--certify-only"]):
     sys.stdin = io.StringIO("gens: x, y\\nrel: x y x Y X Y\\n")
     assert cli.main([*argv, "--pres", "-", "--json"]) == 0
     print(*argv, [m for m in UNUSED if m in sys.modules and m not in preloaded], file=sys.stderr)
-assert cli.main(["mapping-torus", "--matrix", "2,1,1,1", "--power", "2"]) == 0
-assert cli.main(["sol-census", "--trace-bound", "5"]) == 0
+for argv in (["mapping-torus", "--matrix", "2,1,1,1", "--power", "2"], ["sol-census", "--trace-bound", "5"]):
+    assert cli.main(argv) == 0
+    print(argv[0], [m for m in LATER if m in sys.modules and m not in preloaded], file=sys.stderr)
 print(*(m in sys.modules for m in UNUSED[:2]), file=sys.stderr)
+"""
+
+_PLAIN_IMPORT = """
+import sys
+preloaded = set(sys.modules)
+import torsionpoly.bundles, torsionpoly.sl2z, torsionpoly.corpus
+print("dataclasses" in sys.modules and "dataclasses" not in preloaded)
 """
 
 
 def test_cli_runs_without_importing_mpmath():
     """torsion and scan load neither mpmath nor the bundles/sl2z/corpus
-    companions nor dataclasses; the companions' commands still run."""
+    companions nor dataclasses; mapping-torus and sol-census run the
+    companions without loading dataclasses (nor its inspect, ast and dis) or
+    mpmath, and importing the companions loads no dataclasses."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _NO_MPMATH], env=env,
@@ -242,8 +253,14 @@ def test_cli_runs_without_importing_mpmath():
         "torsion --psi 1,1 --certify-only []",
         "torsion --psi 1,1 []",
         "scan --bound 2 --certify-only []",
+        "mapping-torus []",
+        "sol-census []",
         "True True",
     ]
+    proc = subprocess.run([sys.executable, "-c", _PLAIN_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_certify_only_finishes_on_coefficient_swell(tmp_path):

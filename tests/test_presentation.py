@@ -215,6 +215,18 @@ def test_presentation_is_an_immutable_value():
     assert parsed == built and parsed.num_generators == 2
 
 
+def test_corpus_entries_are_immutable_values():
+    entry = THREE_MANIFOLD_CORPUS[0]
+    copy = type(entry)(*entry)
+    assert entry is not copy
+    assert entry == copy and hash(entry) == hash(copy) and len({entry, copy}) == 1
+    assert entry != entry._replace(psi=(1, 2))
+    for name in (*entry._fields, "presentation", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, ())
+    assert entry == copy and entry.presentation() == copy.presentation()
+
+
 _NAMES = st.sampled_from(["x", "y", "z", "a1", "b_2", "X", "1x", "_y", "x y", ""])
 _TOKENS = st.tuples(st.sampled_from(["x", "y", "X", "Y", "z", "Z", "q", "x1", "", "^", "x^", "y^-"]),
                     st.one_of(st.none(), st.integers(-40, 40).map(lambda k: f"^{k}"),

@@ -3,8 +3,8 @@ cyclotomic split, the residual certificate in doubles and in integers,
 distinct roots reported apart however close, the mpmath fallback of
 :func:`complex_roots`, and its kernels: closed-form roots of unity against
 mpmath, fixed-point Newton steps against exact ones, Newton-polygon start
-points, real roots proved by a sign change, and a guard on the largest
-full report the degree budget admits."""
+points, real and imaginary-axis roots proved by a sign change, and a
+guard on the largest full report the degree budget admits."""
 
 import cmath
 import itertools
@@ -172,15 +172,39 @@ def test_raises_when_no_stage_certifies(monkeypatch):
     assert made == [60]
 
 
-def test_polishing_settles_ill_conditioned_roots():
+def test_polishing_settles_ill_conditioned_roots(monkeypatch):
     # the roots of prod (t - k), k <= 20, move by up to 1e-2 under rounding
-    # of the coefficients; exact Newton steps still land on the integers
+    # of the coefficients; Newton steps from the double stage do not settle
+    # on them, and the mpmath stage at 2 * 19 + 30 digits (t - 1 is split off
+    # as Phi_1) lands on the integers
     p = ONE
     for k in range(1, 21):
         p = p * (T - lp(k))
+    made = spy_mp(monkeypatch)
     roots = complex_roots(p, TOL)
+    assert made == [68]
     assert [z.real for z, _ in roots] == list(range(1, 21))
     assert all(abs(z.imag) < 1e-30 for z, _ in roots)
+    match_oracle(p, roots)
+
+
+def test_fallback_decides_a_mignotte_polynomial(monkeypatch):
+    # t^20 - 2(10t - 1)^2 has two real roots 1.4e-11 apart next to 1/10,
+    # which Newton steps from the double stage do not settle on
+    p = T**20 - lp(2) * lp(-1, 10) ** 2
+    made = spy_mp(monkeypatch)
+    roots = complex_roots(p, TOL)
+    assert made == [70]
+    match_oracle(p, roots)
+
+
+def test_fallback_decides_a_close_rational_pair(monkeypatch):
+    # the roots 1 - 10^-8 and 10^8 / (10^8 + 1) lie 1e-16 apart, about an ulp
+    p = lp(-10**8 + 1, 10**8) * lp(-10**8, 10**8 + 1)
+    made = spy_mp(monkeypatch)
+    roots = complex_roots(p, TOL)
+    assert made == [60]
+    match_oracle(p, roots)
 
 
 def test_reports_distinct_close_roots_apart():
@@ -192,6 +216,18 @@ def test_reports_distinct_close_roots_apart():
     roots = complex_roots(p, TOL)
     assert roots == [(0.999 + 0j, 1), (0.999000999000999 + 0j, 1)]
     match_oracle(p, roots)
+
+
+def test_imaginary_axis_roots_do_not_depend_on_the_seed():
+    # f(iy) = A(y) + iB(y); a sign change of gcd(A, B) proves each root
+    # purely imaginary, so its real part is +0.0 and the order is fixed
+    for p in (T * T + lp(2), T**4 + lp(3) * T * T + ONE):
+        roots = complex_roots(p, TOL, 0)
+        for seed in range(1, 6):
+            assert complex_roots(p, TOL, seed) == roots
+        assert all(math.copysign(1.0, z.real) == 1.0 and z.real == 0.0 for z, _ in roots)
+        assert [z.imag for z, _ in roots] == sorted(z.imag for z, _ in roots)
+        match_oracle(p, roots)
 
 
 def test_degree_60_planted_square_runs_yun():

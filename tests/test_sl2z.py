@@ -37,6 +37,36 @@ def test_rl_word_validation():
         RLWord(((1, 1),), sign=2)
 
 
+def test_rl_word_rejects_bad_construction():
+    valid = RLWord(((1, 2),))
+    for blocks, sign, message in (
+        ((), 1, "at least one block"),
+        (((0, 1),), 1, "block exponents must be >= 1"),
+        (((1, 1), (2, -1)), -1, "block exponents must be >= 1"),
+        (((1, 1),), 2, "sign must be"),
+        (((1, 1),), 0, "sign must be"),
+    ):
+        for build in (lambda: RLWord(blocks, sign), lambda: RLWord._make((blocks, sign)),
+                      lambda: valid._replace(blocks=blocks, sign=sign)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    assert valid._replace(sign=-1) == RLWord(((1, 2),), -1)
+
+
+def test_rl_word_is_an_immutable_value():
+    # words the sweep builds unchecked equal and hash as checked ones
+    swept, negated = classes_with_trace(3)[0], classes_with_trace(-3)[0]
+    built = RLWord(((1, 1),))
+    assert type(swept) is type(negated) is RLWord
+    assert swept == built and hash(swept) == hash(built) and len({swept, built}) == 1
+    assert negated == RLWord(((1, 1),), -1) != built
+    assert swept != RLWord(((1, 2),))
+    for name in ("blocks", "sign", "weight", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(swept, name, ())
+    assert swept == built and swept.sign == 1
+
+
 def test_canonicalize_rotation():
     w1 = RLWord(((2, 1), (1, 3)))
     w2 = RLWord(((1, 3), (2, 1)))
