@@ -946,14 +946,14 @@ def _real_root_near(f: list[int], x: float) -> bool:
     return _sign_at(f, math.nextafter(x, -math.inf)) * _sign_at(f, math.nextafter(x, math.inf)) < 0
 
 
-def _imaginary_root_near(f: list[int], y: float) -> bool:
-    """Whether f has a root iy' with y' between the doubles next to y: with
-    f(iy) = A(y) + iB(y) for integer A and B, whether gcd(A, B) changes sign
-    there (:func:`_real_root_near`)."""
+@functools.lru_cache(maxsize=1)  # the roots of one factor are polished in a row
+def _imaginary_axis_gcd(f: tuple[int, ...]) -> tuple[int, ...]:
+    """gcd(A, B) for f(iy) = A(y) + iB(y) with integer A and B: its real
+    roots y are those of f on the imaginary axis."""
     parts = [[0] * len(f), [0] * len(f)]
     for k, c in enumerate(f):
         parts[k % 2][k] = c if k % 4 < 2 else -c  # i^k is 1, i, -1, -i
-    return _real_root_near(list(gcd(_poly(parts[0]), _poly(parts[1])).ints), y)
+    return gcd(_poly(parts[0]), _poly(parts[1])).ints
 
 
 def _polished(f: list[int], z: complex) -> complex:
@@ -961,11 +961,13 @@ def _polished(f: list[int], z: complex) -> complex:
     imaginary part dropped if that is below an ulp of the real part and
     :func:`_real_root_near` proves a real root there, and its real part set
     to +0.0 if that is below an ulp of the imaginary part and
-    :func:`_imaginary_root_near` proves a root on the imaginary axis there."""
+    :func:`_real_root_near` proves a root of :func:`_imaginary_axis_gcd`
+    there."""
     z = _polish(f, z)
     if z.imag and abs(z.imag) <= 2.0**-52 * abs(z.real) and _real_root_near(f, z.real):
         return complex(z.real)
-    if z.real and abs(z.real) <= 2.0**-52 * abs(z.imag) and _imaginary_root_near(f, z.imag):
+    if (z.real and abs(z.real) <= 2.0**-52 * abs(z.imag)
+            and _real_root_near(_imaginary_axis_gcd(tuple(f)), z.imag)):
         return complex(0.0, z.imag)
     return z
 

@@ -13,7 +13,6 @@ conjugation BFS, an independent oracle.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .laurent import InvariantViolation
@@ -24,8 +23,8 @@ R_MAT: Mat2 = ((1, 1), (0, 1))
 L_MAT: Mat2 = ((1, 0), (1, 1))
 
 # Largest trace bound the census sweeps: the number of classes grows like
-# its square (157,256 classes at 1,000, swept in about 0.3 s on a shared
-# 2-vCPU Xeon host; `sol-census` prints them in about 1.7 s, and with
+# its square (157,256 classes at 1,000, swept in about 0.35 s on a shared
+# 2-vCPU Xeon host; `sol-census` prints them in about 1.8 s, and with
 # `--json` in about 3.7 s at a 408 MB peak).
 CENSUS_TRACE_CAP = 1000
 
@@ -56,25 +55,46 @@ def det(x: Mat2) -> int:
     return x[0][0] * x[1][1] - x[0][1] * x[1][0]
 
 
-class RLWord(namedtuple("RLWord", "blocks sign")):
+class RLWord:
     """A hyperbolic conjugacy class: sign * R^a1 L^b1 ... R^ak L^bk.
 
     Blocks are positive pairs; the canonical form is the lexicographically
-    least cyclic rotation of the block sequence.
+    least cyclic rotation of the block sequence.  An immutable value but not
+    a tuple, so a list of words stays apart from the (trace, words) pairs of
+    :func:`sol_candidates` for a reader that asks whether an entry is a
+    tuple, as ``bench/tracing.py`` does.
     """
 
-    __slots__ = ()
+    __slots__ = ("blocks", "sign")
 
-    def __new__(cls, blocks: tuple[tuple[int, int], ...], sign: int = 1):
+    def __init__(self, blocks: tuple[tuple[int, int], ...], sign: int = 1):
         if not blocks:
             raise ValueError("an R/L word needs at least one block")
         if any(a < 1 or b < 1 for a, b in blocks):
             raise ValueError("block exponents must be >= 1")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return super().__new__(cls, blocks, sign)
+        _set_blocks(self, blocks)
+        _set_sign(self, sign)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"an RLWord is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not RLWord:
+            return NotImplemented
+        return self.blocks == other.blocks and self.sign == other.sign
+
+    def __hash__(self):
+        return hash((self.blocks, self.sign))
+
+    def __repr__(self):
+        return f"RLWord(blocks={self.blocks!r}, sign={self.sign!r})"
+
+    def __reduce__(self):
+        return RLWord, (self.blocks, self.sign)
 
     def weight(self) -> int:
         return sum(a * b for a, b in self.blocks)
@@ -87,10 +107,16 @@ class RLWord(namedtuple("RLWord", "blocks sign")):
         return body if self.sign == 1 else f"-({body})"
 
 
+_set_blocks, _set_sign = RLWord.blocks.__set__, RLWord.sign.__set__
+
+
 def _word(blocks: tuple[tuple[int, int], ...], sign: int = 1) -> RLWord:
     """``RLWord(blocks, sign)`` without its checks, which builds every word the
     census sweep makes or derives from a checked word."""
-    return tuple.__new__(RLWord, (blocks, sign))
+    word = object.__new__(RLWord)
+    _set_blocks(word, blocks)
+    _set_sign(word, sign)
+    return word
 
 
 def rl_to_matrix(word: RLWord) -> Mat2:

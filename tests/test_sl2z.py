@@ -1,6 +1,7 @@
 """R/L-word classes, the conjugacy oracle, and the Sol census."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -46,11 +47,9 @@ def test_rl_word_rejects_bad_construction():
         (((1, 1),), 2, "sign must be"),
         (((1, 1),), 0, "sign must be"),
     ):
-        for build in (lambda: RLWord(blocks, sign), lambda: RLWord._make((blocks, sign)),
-                      lambda: valid._replace(blocks=blocks, sign=sign)):
-            with pytest.raises(ValueError, match=message):
-                build()
-    assert valid._replace(sign=-1) == RLWord(((1, 2),), -1)
+        with pytest.raises(ValueError, match=message):
+            RLWord(blocks, sign)
+    assert valid == RLWord(((1, 2),), 1) != RLWord(((1, 2),), -1)
 
 
 def test_rl_word_is_an_immutable_value():
@@ -64,6 +63,11 @@ def test_rl_word_is_an_immutable_value():
     for name in ("blocks", "sign", "weight", "extra"):
         with pytest.raises(AttributeError):
             setattr(swept, name, ())
+        with pytest.raises(AttributeError):
+            delattr(swept, name)
+    assert pickle.loads(pickle.dumps(negated)) == negated
+    # not a tuple, so a list of words is never read as (trace, words) pairs
+    assert not isinstance(swept, tuple) and isinstance(sol_candidates(3)[0], tuple)
     assert swept == built and swept.sign == 1
 
 
