@@ -10,7 +10,9 @@ the Smith row steps all read and build that form, so no ``Fraction`` is
 made per coefficient and every result equals that of plain rational
 arithmetic.  Division is one sparse pseudo-division that visits only the
 divisor's nonzero coefficients, and the gcd is a primitive polynomial
-remainder sequence over Z.
+remainder sequence over Z.  :func:`determinant` and :func:`rank` run one
+Bareiss pass, except on one row: a 1x1 determinant is its entry and the
+rank of a single row is whether it has a nonzero entry.
 
 Only :func:`complex_roots` is inexact.  It strips cyclotomic factors by
 exact division and reports their roots of unity in closed form (a
@@ -423,7 +425,8 @@ def value_mod_p(f: LaurentPoly, a: int) -> int:
 
 def rank_det_mod_p(rows: list[list[int]]) -> tuple[int, int]:
     """(rank, determinant) over F_p of a nonempty integer matrix by Gaussian
-    elimination; the determinant is 0 unless the matrix is square."""
+    elimination, which ends at the last row's pivot; the determinant is 0
+    unless the matrix is square."""
     p = _PRIME
     m = [[x % p for x in row] for row in rows]
     rk, det = 0, 1
@@ -431,12 +434,15 @@ def rank_det_mod_p(rows: list[list[int]]) -> tuple[int, int]:
         piv = next((i for i in range(rk, len(m)) if m[i][c]), None)
         if piv is not None:
             m[rk], m[piv] = m[piv], m[rk]
-            det = det * (m[rk][c] if piv == rk else -m[rk][c]) % p
-            inv = pow(m[rk][c], -1, p)
-            for i in range(rk + 1, len(m)):
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rk])]
+            top = m[rk]
+            det = det * (top[c] if piv == rk else -top[c]) % p
             rk += 1
+            if rk == len(m):
+                break
+            inv = pow(top[c], -1, p)
+            for i in range(rk, len(m)):
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
     return rk, det if rk == len(m) == len(m[0]) else 0
 
 
@@ -1084,10 +1090,12 @@ def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
             if not row[c] and top[c] == prev:  # the step leaves this row as it is
                 continue
             for j in range(c + 1, ncols):
-                s, q, rem = _pdivmod(_sub_mul(top[c], row[j], row[c], top[j]), prev)
-                if s != 1 or rem:
-                    raise InvariantViolation("an inexact division in Bareiss elimination")
-                row[j] = q
+                x = _sub_mul(top[c], row[j], row[c], top[j])
+                if r:  # the first step divides by the initial pivot 1
+                    s, x, rem = _pdivmod(x, prev)
+                    if s != 1 or rem:
+                        raise InvariantViolation("an inexact division in Bareiss elimination")
+                row[j] = x
             row[c] = []
         prev = top[c]
         pivots.append(prev)
@@ -1097,14 +1105,17 @@ def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
 
 
 def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant: the last Bareiss pivot over the row denominators,
-    or 0 at the first column without a pivot; one LaurentPoly is built."""
+    """Exact determinant: the entry of a 1x1 matrix, else the last Bareiss
+    pivot over the row denominators, or 0 at the first column without a
+    pivot; at most one LaurentPoly is built."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
     if n == 0:
         return LaurentPoly.one()
+    if n == 1:
+        return rows[0][0]
     pivots, sign, lo, den, _ = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=False)
     if len(pivots) < n:
         return LaurentPoly.zero()
@@ -1125,9 +1136,12 @@ def solve_scaled(rows) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
 
 
 def rank(rows: list[list[LaurentPoly]]) -> int:
-    """Rank over the fraction field Q(t): the number of Bareiss pivots."""
+    """Rank over the fraction field Q(t): 1 for a single row with a nonzero
+    entry, else the number of Bareiss pivots."""
     if not rows or not rows[0]:
         return 0
+    if len(rows) == 1:
+        return 1 if any(rows[0]) else 0
     return len(_bareiss(rows, stop_at_missing_pivot=False, reduce_above=False)[0])
 
 

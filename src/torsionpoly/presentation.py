@@ -221,10 +221,6 @@ def _kernel_basis(rows: list[list[int]], m: int) -> list[list[int]]:
     return ut[lead:]
 
 
-def _linf(vec) -> int:
-    return max((abs(x) for x in vec), default=0)
-
-
 def enumerate_epimorphisms(pres: FinitePresentation, bound: int) -> list[tuple[int, ...]]:
     """All epimorphisms to Z with sup-norm <= bound, one per +/- pair.
 
@@ -250,17 +246,13 @@ def enumerate_epimorphisms(pres: FinitePresentation, bound: int) -> list[tuple[i
     cbound = max(sum(abs(c) for x in row for c in x.ints) for row in pgb) * bound // abs(p.ints[0])
     if (2 * cbound + 1) ** d > _ENUMERATION_CAP:
         raise PresentationError("epimorphism enumeration box is too large")
+    # v = sum_i x_i * basis[i], summed from precomputed multiples of each row;
+    # the zero vector has gcd 0
+    multiples = [[[c * x for x in row] for c in range(-cbound, cbound + 1)] for row in basis]
     seen = set()
-    for coeffs in itertools.product(range(-cbound, cbound + 1), repeat=d):
-        v = tuple(
-            sum(coeffs[i] * basis[i][j] for i in range(d)) for j in range(m)
-        )
-        if not any(v) or _linf(v) > bound:
-            continue
-        g = 0
-        for x in v:
-            g = math.gcd(g, abs(x))
-        if g != 1:
+    for parts in itertools.product(*multiples):
+        v = tuple(map(sum, zip(*parts)))
+        if max(map(abs, v)) > bound or math.gcd(*v) != 1:
             continue
         first = next(x for x in v if x)
         if first < 0:

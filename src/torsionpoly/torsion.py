@@ -28,6 +28,7 @@ from .laurent import (
     InvariantViolation,
     LaurentPoly,
     RootFindingError,
+    _poly,
     cauchy_root_radius,
     complex_roots,
     coprime,
@@ -132,11 +133,23 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
         raise SizeBudgetExceeded(
             f"the torsion polynomial may reach degree {degree_bound}, "
             f"past the budget of {DEGREE_BUDGET}")
-    rows = tuple(tuple(LaurentPoly(c) for c in cols) for cols in raw)
+    rows = tuple(tuple(_integer_poly(c) for c in cols) for cols in raw)
     jac = SpecializedJacobian(rows, psi, k, pres.num_generators)
     if jac.total_norm() > k:
         raise InvariantViolation("specialization increased the Jacobian norm")
     return jac
+
+
+def _integer_poly(terms: dict[int, int]) -> LaurentPoly:
+    """The sum c * t^e over the items (e, c) of ``terms``, built from one
+    dense integer list."""
+    if not terms:
+        return _poly(())
+    lo = min(terms)
+    ints = [0] * (max(terms) - lo + 1)
+    for e, c in terms.items():
+        ints[e - lo] = c
+    return _poly(ints, 1, lo)
 
 
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:

@@ -170,8 +170,16 @@ ZERO_UNDER_SHIFT = [
     [LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.term(Fraction(1, 2), -1)],
 ]
 
+# the one-row base cases of determinant and rank, which skip the Bareiss pass
+ONE_ROW = [
+    [[LaurentPoly.zero()]],
+    [[LaurentPoly.zero()] * 3],
+    [[LaurentPoly({-2: Fraction(-3, 7), 1: Fraction(5, 2)})]],
+]
 
-@pytest.mark.parametrize("m", [bareiss_matrix(seed) for seed in range(45)] + [ZERO_UNDER_SHIFT])
+
+@pytest.mark.parametrize("m", [bareiss_matrix(seed) for seed in range(45)] + [ZERO_UNDER_SHIFT]
+                         + ONE_ROW)
 def test_determinant_and_rank_match_sympy(m):
     shifted, lo = sympy_matrix(m)
     dm = DomainMatrix.from_Matrix(shifted)

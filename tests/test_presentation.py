@@ -138,6 +138,17 @@ def test_enumerate_matches_brute_force():
                 assert validate_epimorphism(p, psi) is None
 
 
+@pytest.mark.parametrize("bound, count", [(1, 40), (2, 272)])
+def test_enumerate_matches_brute_force_at_kernel_dimension_four(bound, count):
+    # the genus-two relator a b A B c d C D has zero exponent sums: the box
+    # walk runs over a four-dimensional kernel lattice
+    entry = next(e for e in THREE_MANIFOLD_CORPUS if e.name == "genus-two-surface-times-interval")
+    p = parse_presentation(entry.text)
+    got = enumerate_epimorphisms(p, bound)
+    assert got == brute_force_epimorphisms(p, bound)
+    assert len(got) == count
+
+
 def test_exponent_matrix_is_augmented_jacobian():
     rng = random.Random(6)
     for _ in range(30):
