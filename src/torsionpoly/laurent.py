@@ -8,9 +8,15 @@ denominator (the layout of FLINT's ``fmpq_poly``).  Arithmetic, division,
 gcd, normalization, Cauchy radii, evaluation mod p, the Bareiss pass and
 the Smith row steps all read and build that form, so no ``Fraction`` is
 made per coefficient and every result equals that of plain rational
-arithmetic.  Division is one sparse pseudo-division that visits only the
-divisor's nonzero coefficients, and the gcd is a primitive polynomial
-remainder sequence over Z.  :func:`determinant` and :func:`rank` run one
+arithmetic.  An exact quotient (:func:`exact_div`, each Bareiss pivot
+division, the division by Phi_n) is found by Kronecker substitution: both
+operands packed as their values at 2^k, one integer division, and the
+quotient's digits proved by a coefficient bound, as no nonzero polynomial
+with coefficients below 2^k vanishes at 2^k.  Small divisions, and
+operands too wide for 64-bit slots, go to one sparse
+pseudo-division that visits only the divisor's nonzero coefficients, which
+also gives the remainders of the gcd, a primitive polynomial remainder
+sequence over Z.  :func:`determinant` and :func:`rank` run one
 Bareiss pass, except on one row: a 1x1 determinant is its entry and the
 rank of a single row is whether it has a nonzero entry.
 
@@ -319,6 +325,63 @@ def _pdivmod(num: list[int], den: list[int]) -> tuple[int, list[int], list[int]]
     return s, quo, rem
 
 
+# An exact quotient is packed from this many steps of the sparse loop
+# (quotient length times nonzero terms of the divisor) on: measured, as
+# _FIXED_STEP_LENGTH was, the packed quotient is the faster there.
+_PACKED_MIN_STEPS = 128
+
+
+def _exact_quotient(num, den) -> list[int] | None:
+    """q with q * den == num in Z[t], or None when den does not divide num
+    there; den is nonzero.
+
+    The sparse loop of :func:`_pdivmod` divides when it would take fewer
+    than _PACKED_MIN_STEPS steps.  Else (Kronecker substitution) num and
+    den are packed in k-bit signed slots, k = 16, 32 or 64 the narrowest
+    that holds them, as their values N and D at 2^k, and one integer
+    divmod gives Q = N // D.  A nonzero remainder proves that den does not
+    divide num, as q * den == num would give Q * D == N.  Else the balanced
+    base-2^k digits of Q are the candidate q, accepted only when each lies
+    in [-2^(m-1), 2^(m-1)), where ||den||_1 < 2^(k-m).  Then
+    ||q||_inf ||den||_1 < 2^(k-1) and ||num||_inf <= 2^(k-1), so
+    q * den - num vanishes at 2^k and has every coefficient below 2^k in
+    absolute value; it is zero, or its lowest nonzero coefficient would be
+    a nonzero multiple of 2^k.  Operands too wide for 64-bit slots, and
+    quotients that no width proves, go to the sparse loop.
+    """
+    nq, nnz = len(num) - len(den) + 1, len(den) - den.count(0)
+    if nq * nnz >= _PACKED_MIN_STEPS:
+        import struct  # only a packed division loads it
+
+        norm = sum(map(abs, den))
+        for code, k in (("h", 16), ("i", 32), ("q", 64)):
+            m = k - norm.bit_length()
+            if m < 1:
+                continue
+            try:
+                packed = [struct.pack(f"<{len(x)}{code}", *x) for x in (num, den)]
+            except struct.error:
+                continue
+            # bias holds 2^(k-1) in each of len(num) slots (in fewer, shifted
+            # right); slot by slot, (x ^ b) - b turns the unsigned reading of
+            # signed slots into their values, and (x + b) ^ b turns back
+            bias = int.from_bytes((bytes(k // 8 - 1) + b"\x80") * len(num), "little")
+            b = bias >> k * (nq - 1)
+            quo, rem = divmod((int.from_bytes(packed[0], "little") ^ bias) - bias,
+                              (int.from_bytes(packed[1], "little") ^ b) - b)
+            if rem:
+                return None
+            b = bias >> k * (len(den) - 1)
+            low = b >> k - m
+            digits = quo + low  # digit i of Q plus 2^(m-1), in slot i if below 2^m
+            if digits < 0 or digits >> k * nq or digits & 2 * (b - low):
+                continue
+            raw = ((quo + b) ^ b).to_bytes(k // 8 * nq, "little")
+            return list(struct.unpack(f"<{nq}{code}", raw))
+    s, q, r = _pdivmod(num, den)
+    return q if s == 1 and not r else None
+
+
 def normalize(p: LaurentPoly) -> LaurentPoly:
     """The canonical associate of ``p``.
 
@@ -336,14 +399,6 @@ def _padded(p: LaurentPoly, lo: int):
     return [0] * (p.lo - lo) + list(p.ints) if p.lo > lo else p.ints
 
 
-def _divide(a: LaurentPoly, b: LaurentPoly, lo_a: int, lo_b: int):
-    """(q, r, d) from one pseudo-division of the ints of a and b, read
-    from exponents lo_a and lo_b: the quotient is q / d and the remainder
-    r / d."""
-    s, q, r = _pdivmod(_padded(a, lo_a), _padded(b, lo_b))
-    return [c * b.den for c in q], r, s * a.den
-
-
 def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Euclidean division with remainder in Q[t] (deg r < deg b).
 
@@ -353,20 +408,25 @@ def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         raise ZeroDivisionError("division by the zero polynomial")
     if (a and a.min_exp < 0) or b.min_exp < 0:
         raise ValueError("polynomial division requires nonnegative exponents")
-    q, r, d = _divide(a, b, 0, 0)
-    return _poly(q, d), _poly(r, d)
+    s, q, r = _pdivmod(_padded(a, 0), _padded(b, 0))
+    return _poly([c * b.den for c in q], s * a.den), _poly(r, s * a.den)
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division a/b in Q[t, t^-1]; raises if b does not divide a."""
+    """Exact division a/b in Q[t, t^-1]; raises if b does not divide a.
+
+    The ints of b are divided by their content g first; by Gauss's lemma
+    the quotient by that primitive form lies in Z[t] if it exists, so one
+    :func:`_exact_quotient` decides."""
     if not a:
         return LaurentPoly.zero()
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q, r, d = _divide(a, b, a.lo, b.lo)
-    if r:
+    g = math.gcd(*b.ints)
+    q = _exact_quotient(a.ints, b.ints if g == 1 else [c // g for c in b.ints])
+    if q is None:
         raise ArithmeticError("inexact Laurent division")
-    return _poly(q, d, a.lo - b.lo)
+    return _poly([c * b.den for c in q] if b.den != 1 else q, a.den * g, a.lo - b.lo)
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -545,8 +605,8 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     stretched[::p] = inner
     if n // p % p == 0:
         return tuple(stretched)
-    _, quo, rem = _pdivmod(stretched, list(inner))
-    if rem:
+    quo = _exact_quotient(stretched, inner)
+    if quo is None:
         raise InvariantViolation(f"Phi_{n // p}(t^{p}) is not divisible by Phi_{n // p}")
     return tuple(quo)
 
@@ -572,15 +632,15 @@ def _may_vanish_at_unit_root(q: list[int], norm: int, n: int) -> bool:
 def _cyclotomic_split(q: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
     """Pairs (n, m) and ``rest`` with q == prod Phi_n^m * rest, no Phi_n
     dividing ``rest``.  Each n with phi(n) <= deg q that the test in doubles
-    cannot rule out is divided exactly (``_pdivmod``, the kernel of
-    :func:`divmod_poly`); only a zero remainder strips Phi_n."""
+    cannot rule out is divided exactly (:func:`_exact_quotient`); only an
+    exact quotient strips Phi_n."""
     found, rest = [], q
     norm = sum(map(abs, rest))
     for n, phi in _phi_at_most(1 << (len(q) - 1).bit_length()):  # a power of two: few tables
         m = 0
         while phi < len(rest) and _may_vanish_at_unit_root(rest, norm, n):
-            _, quo, rem = _pdivmod(rest, list(_cyclotomic(n)))
-            if rem:
+            quo = _exact_quotient(rest, _cyclotomic(n))
+            if quo is None:
                 break
             rest, m = quo, m + 1
             norm = sum(map(abs, rest))
@@ -1014,11 +1074,11 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``; a root of
     unity, which exact division proved, is not.
 
-    The cyclotomic split dominates on torus knots (T(80,81), degree 6,320:
-    about 0.6 s; T(140,141), degree 19,460: about 7 s) and the O(d^2)
-    Aberth sweeps on the rest (a generic degree-400 polynomial: about
-    0.4 s), against at most 0.04 s for the exact verdict (Python 3.11, one
-    core of a shared 2-vCPU host).
+    The cyclotomic split dominates on torus knots, through its tests in
+    doubles (T(140,141), degree 19,460: about 8.5 s, 0.2 s of it for the
+    exact quotients), and the O(d^2) Aberth sweeps on the rest (a generic
+    degree-400 polynomial: about 0.9 s), against at most 0.03 s for the
+    exact verdict (Python 3.11, one core of a shared 2-vCPU host).
 
     On a float overflow, non-convergence or a failed certificate, ``rest``
     (of degree d) goes through again in a private mpmath context at
@@ -1092,8 +1152,8 @@ def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
             for j in range(c + 1, ncols):
                 x = _sub_mul(top[c], row[j], row[c], top[j])
                 if r:  # the first step divides by the initial pivot 1
-                    s, x, rem = _pdivmod(x, prev)
-                    if s != 1 or rem:
+                    x = _exact_quotient(x, prev)
+                    if x is None:
                         raise InvariantViolation("an inexact division in Bareiss elimination")
                 row[j] = x
             row[c] = []

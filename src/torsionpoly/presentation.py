@@ -167,26 +167,38 @@ def exponent_sum_matrix(pres: FinitePresentation) -> list[list[int]]:
     return out
 
 
+def epimorphism_values(pres: FinitePresentation, values) -> list:
+    """``values`` as a list, one per generator; ValueError otherwise."""
+    v = list(values)
+    if len(v) != pres.num_generators:
+        raise ValueError(
+            f"expected {pres.num_generators} values, got {len(v)}"
+        )
+    return v
+
+
+def epimorphism_failure(weights, values) -> str | None:
+    """None if every relator's weight in ``weights`` is zero and the gcd of
+    ``values`` is 1 (surjectivity), else the reason; a relator of nonzero
+    weight is reported first."""
+    for i, w in enumerate(weights):
+        if w:
+            return f"kills-relators violated at relator {i}"
+    g = math.gcd(*values)
+    if g != 1:
+        return f"not surjective (gcd = {g})"
+    return None
+
+
 def validate_epimorphism(pres: FinitePresentation, values) -> str | None:
     """None if ``values`` defines an epimorphism to Z, else the reason.
 
     Valid means every relator has zero weighted exponent sum and the gcd of
     the entries is 1 (surjectivity).
     """
-    v = list(values)
-    if len(v) != pres.num_generators:
-        raise ValueError(
-            f"expected {pres.num_generators} values, got {len(v)}"
-        )
-    for i, row in enumerate(exponent_sum_matrix(pres)):
-        if sum(a * b for a, b in zip(row, v)):
-            return f"kills-relators violated at relator {i}"
-    g = 0
-    for a in v:
-        g = math.gcd(g, abs(a))
-    if g != 1:
-        return f"not surjective (gcd = {g})"
-    return None
+    v = epimorphism_values(pres, values)
+    return epimorphism_failure((sum(a * b for a, b in zip(row, v))
+                                for row in exponent_sum_matrix(pres)), v)
 
 
 def _kernel_basis(rows: list[list[int]], m: int) -> list[list[int]]:

@@ -44,8 +44,9 @@ from .presentation import (
     FinitePresentation,
     complexity_k,
     enumerate_epimorphisms,
+    epimorphism_failure,
+    epimorphism_values,
     root_bound,
-    validate_epimorphism,
 )
 
 MINOR_ENUMERATION_CAP = 10**6
@@ -101,16 +102,14 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
     polynomial, and the exponent width of the matrix that the Bareiss pass
     expands.
 
-    Raises :class:`InvalidEpimorphism` unless psi kills every relator and
-    is surjective, and :class:`SizeBudgetExceeded`, before any polynomial is
-    built, if that bound exceeds :data:`DEGREE_BUDGET`.
+    Raises :class:`InvalidEpimorphism` unless psi kills every relator (its
+    final running weight is psi of the relator) and is surjective, and then
+    :class:`SizeBudgetExceeded`, before any polynomial is built, if that
+    bound exceeds :data:`DEGREE_BUDGET`.
     """
-    psi = tuple(int(x) for x in psi)
-    reason = validate_epimorphism(pres, psi)
-    if reason is not None:
-        raise InvalidEpimorphism(reason)
+    psi = tuple(int(x) for x in epimorphism_values(pres, psi))
     k = complexity_k(pres)
-    raw = []
+    raw, weights = [], []
     degree_bound = 0
     for r in pres.relators:
         cols: list[dict[int, int]] = [{} for _ in range(pres.num_generators)]
@@ -129,6 +128,10 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
                 hi = e
         degree_bound += hi - lo
         raw.append(cols)
+        weights.append(e)
+    reason = epimorphism_failure(weights, psi)
+    if reason is not None:
+        raise InvalidEpimorphism(reason)
     if degree_bound > DEGREE_BUDGET:
         raise SizeBudgetExceeded(
             f"the torsion polynomial may reach degree {degree_bound}, "

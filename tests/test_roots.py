@@ -284,7 +284,7 @@ def sympy_split(q):
     return found, [int(c) for c in reversed(rest.all_coeffs())]
 
 
-def test_cyclotomic_split_matches_sympy():
+def test_cyclotomic_split_matches_sympy(monkeypatch):
     rng = random.Random(7)
     for _ in range(40):
         p = LaurentPoly.from_coeffs([rng.randint(-4, 4) or 1 for _ in range(rng.randint(1, 7))]
@@ -294,6 +294,21 @@ def test_cyclotomic_split_matches_sympy():
         q = [int(c) for c in laurent_mod.normalize(p).dense()]
         found, rest = laurent_mod._cyclotomic_split(q)
         assert (Counter(found), rest) == sympy_split(q), p.display()
+    # the Delta of T(7, 15), Phi_21 Phi_35 Phi_105, times Lehmer's polynomial
+    # and Phi_12^2: degree 102, and most divisions are packed (sympy takes
+    # 60-90 s to factor a torus Delta of degree 420)
+    p = lp(*LEHMER) * lp(*laurent_mod._cyclotomic(12)) ** 2
+    for n in (21, 35, 105):
+        p = p * lp(*laurent_mod._cyclotomic(n))
+    divisions, sparse = [], []
+    real_quotient, real_sparse = laurent_mod._exact_quotient, laurent_mod._pdivmod
+    monkeypatch.setattr(laurent_mod, "_exact_quotient",
+                        lambda a, b: divisions.append(1) or real_quotient(a, b))
+    monkeypatch.setattr(laurent_mod, "_pdivmod", lambda a, b: sparse.append(1) or real_sparse(a, b))
+    found, rest = laurent_mod._cyclotomic_split(ints(p))
+    assert (Counter(found), rest) == sympy_split(ints(p))
+    assert found == [(12, 2), (21, 1), (35, 1), (105, 1)] and rest == LEHMER
+    assert len(sparse) <= len(divisions) - 5
 
 
 def test_cyclotomic_polynomials_match_sympy():

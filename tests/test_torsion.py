@@ -30,11 +30,13 @@ from torsionpoly.laurent import (
     normalize,
     reciprocal,
 )
+import torsionpoly.presentation as presentation_mod
 from torsionpoly.presentation import (
     FinitePresentation,
     enumerate_epimorphisms,
     exponent_sum_matrix,
     parse_presentation,
+    validate_epimorphism,
 )
 from torsionpoly.torsion import (
     InvalidEpimorphism,
@@ -104,6 +106,41 @@ def test_specialize_rejects_invalid_psi():
         specialize_jacobian(TREFOIL, (1, 2))
     with pytest.raises(InvalidEpimorphism):
         specialize_jacobian(TREFOIL, (2, 2))
+
+
+def test_specialize_refuses_as_validate_epimorphism_does(monkeypatch):
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(300):
+        pres = random_presentation(rng)
+        psi = tuple(rng.randint(-3, 3) for _ in range(pres.num_generators))
+        reason = validate_epimorphism(pres, psi)
+        try:
+            specialize_jacobian(pres, psi)
+        except InvalidEpimorphism as exc:
+            assert str(exc) == reason
+            refused += 1
+        else:
+            assert reason is None
+    assert refused > 100
+    with pytest.raises(ValueError, match="expected 2 values, got 1"):
+        specialize_jacobian(TREFOIL, (1,))
+    monkeypatch.setattr(torsion_mod, "DEGREE_BUDGET", 0)  # refused as invalid, not as too large
+    with pytest.raises(InvalidEpimorphism, match="kills-relators violated at relator 0"):
+        specialize_jacobian(TREFOIL, (1, 2))
+    with pytest.raises(InvalidEpimorphism, match=r"not surjective \(gcd = 2\)"):
+        specialize_jacobian(TREFOIL, (2, 2))
+
+
+def test_scan_builds_the_exponent_sums_once(monkeypatch):
+    calls = []
+    real = presentation_mod.exponent_sum_matrix
+    monkeypatch.setattr(presentation_mod, "exponent_sum_matrix",
+                        lambda pres: calls.append(1) or real(pres))
+    genus_two = next(e.text for e in THREE_MANIFOLD_CORPUS
+                     if e.name == "genus-two-surface-times-interval")
+    assert len(scan(parse_presentation(genus_two), 1, certify_only=True)) > 10
+    assert len(calls) == 1
 
 
 def test_torsion_polynomial_trefoil():
@@ -454,6 +491,65 @@ def test_invariant_violation_survives_optimize():
         "optimize=1 rank - 1: the rank is below the rank at a point mod p",
         "optimize=1 rank + 1: every minor of size 3 vanishes",
     ]
+    proc = subprocess.run([sys.executable, "-O", "-c", _PACKED_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize=1 numerator plus 1 determinant: an inexact division in Bareiss elimination"
+        " (packed)",
+        "optimize=1 numerator plus 1 rank: an inexact division in Bareiss elimination (packed)",
+        "optimize=1 gcd times (t+2) on T(21,22): the minor GCD does not divide every minor"
+        " (packed)",
+    ]
+
+
+# The same faults where the divisor is past the packed crossover: a Bareiss
+# pivot of 41 terms, and the degree-420 Delta of T(21,22) times (t+2).  The
+# division that rejects must be the packed one, with no sparse fallback.
+_PACKED_FAULTS = """
+import sys
+import torsionpoly.laurent as L
+import torsionpoly.torsion as T
+from torsionpoly.laurent import InvariantViolation, LaurentPoly
+from torsionpoly.presentation import parse_presentation
+
+rejections = []
+real_quotient, real_sparse, real_sub_mul = L._exact_quotient, L._pdivmod, L._sub_mul
+
+def spy(num, den):
+    before = len(sparse)
+    q = real_quotient(num, den)
+    nq, nnz = len(num) - len(den) + 1, len(den) - list(den).count(0)
+    if q is None:
+        rejections.append(nq * nnz >= L._PACKED_MIN_STEPS and len(sparse) == before)
+    return q
+
+sparse = []
+L._exact_quotient = spy
+L._pdivmod = lambda a, b: sparse.append(1) or real_sparse(a, b)
+
+def report(label, run):
+    rejections.clear()
+    try:
+        run()
+        print(f"{label}: not caught")
+    except InvariantViolation as exc:
+        packed = " (packed)" if rejections and rejections[-1] else ""
+        print(f"optimize={sys.flags.optimize} {label}: {exc}{packed}")
+
+t, zero = LaurentPoly.t(), LaurentPoly.zero()
+big = LaurentPoly.from_coeffs([(-1) ** i * (i % 5 + 1) for i in range(41)])
+m = [[big, t, zero], [t, big, t], [zero, t, big]]
+L._sub_mul = lambda s, x, q, y: [c + (i == 0) for i, c in enumerate(real_sub_mul(s, x, q, y))]
+for name in ("determinant", "rank"):
+    report(f"numerator plus 1 {name}", lambda: getattr(L, name)(m))
+L._sub_mul = real_sub_mul
+
+real_gcd = T.gcd
+T.gcd = lambda a, b: real_gcd(a, b) * (t + LaurentPoly.constant(2))
+jac = T.specialize_jacobian(parse_presentation("gens: x, y\\nrel: x^21 y^-22\\n"), (22, 21))
+report("gcd times (t+2) on T(21,22)", lambda: T.torsion_polynomial(jac))
+"""
 
 
 _BAREISS_FAULTS = """
