@@ -26,10 +26,11 @@ from .laurent import (
     determinant,
     normalize,
     reciprocal,
+    roots_in_annulus,
 )
 from .presentation import LETTER_CAP, POWER_COVER_CAP, FinitePresentation
 from .sl2z import det, mat_pow
-from .torsion import leaves_annulus, specialize_jacobian, torsion_polynomial
+from .torsion import specialize_jacobian, torsion_polynomial
 
 CANDIDATE_SEARCH_CAP = 10**7
 
@@ -244,11 +245,11 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
 
     Coefficients have denominators dividing n_denominator**beta, constant
     term +/-1, elementary-symmetric magnitude bounds C(beta,k)*c^k, and all
-    roots of modulus within [1/c, c].  The upper and lower root conditions
-    are accepted by the exact Cauchy certificate when it applies and by
-    the certified numeric roots of :func:`complex_roots` otherwise.  Output
-    is duplicate-free, sorted by coefficient tuple, and closed under the
-    reciprocal map.
+    roots of modulus within [1/c, c].  That condition is decided exactly, in
+    integers, by the Cauchy certificate when it applies and by the
+    Schur-Cohn recursion with Cohn's theorem for roots on the circle
+    otherwise; no root is computed.  Output is duplicate-free, sorted by
+    coefficient tuple, and closed under the reciprocal map.
     """
     if not (1 <= beta <= 4):
         raise ValueError("beta must be between 1 and 4")
@@ -281,8 +282,9 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
 
 
 def _candidate_in_annulus(p: LaurentPoly, c: Fraction) -> bool:
-    """The exact Cauchy certificate, else no numeric root leaves [1/c, c]: a
+    """The Cauchy certificate, else the Schur-Cohn and Cohn test of
+    :func:`~torsionpoly.laurent.roots_in_annulus`; both are exact, and a
     candidate, unlike a torsion polynomial, has no proven annulus."""
     if cauchy_root_radius(p) <= c and cauchy_root_radius(reciprocal(p)) <= c:
         return True
-    return not leaves_annulus([abs(z) for z, _ in complex_roots(p, 1e-10)], c, 1e-10)
+    return roots_in_annulus(p, c)

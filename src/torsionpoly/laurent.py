@@ -19,17 +19,20 @@ also gives the remainders of the gcd, a primitive polynomial remainder
 sequence over Z.  :func:`determinant` and :func:`rank` run one
 Bareiss pass, except on one row: a 1x1 determinant is its entry and the
 rank of a single row is whether it has a nonzero entry.
+:func:`roots_in_annulus` decides that every nonzero root lies in
+[1/c, c] in integers too, by the Schur-Cohn recursion and Cohn's theorem.
 
 Only :func:`complex_roots` is inexact.  It strips cyclotomic factors by
 exact division and reports their roots of unity in closed form (a
 fixed-point sine and cosine, correctly rounded), splits the rest exactly
 into square-free factors whose roots the Aberth-Ehrlich iteration locates
 in machine ``complex`` from start points on the Newton polygon, polishes
-every such root by Newton steps that round as the exact step does (in
-fixed point where its error bound decides, else exactly), reports a root
-as real where a sign change proves it, and certifies each such root
-against a backward-error bound, in doubles where a rounding-error bound
-proves it, else exactly.  Multiplicities come from the exact split alone,
+such roots by Newton steps that round as the exact step does (in fixed
+point where its error bound decides, else exactly), reports a root as
+real where a sign change proves it, and certifies them against a
+backward-error bound, in doubles where a rounding-error bound proves it,
+else exactly.  Polishing and certifying commute with conjugation, so each
+conjugate pair is polished and certified once.  Multiplicities come from the exact split alone,
 so each root is reported once and distinct roots are never merged.  Only
 when locating or certifying fails does the rest run in a private mpmath
 context; mpmath is imported there only.
@@ -525,6 +528,42 @@ def cauchy_root_radius(p: LaurentPoly) -> Fraction:
     return 1 + Fraction(sum(map(abs, p.ints)) - lead, lead)
 
 
+def _in_closed_unit_disk(q: list[int]) -> bool:
+    """Whether every root of the nonzero integer polynomial q lies in |z| <= 1.
+
+    g = gcd(q, q*), q* the reversal, holds the roots of q on the circle and
+    every pair of roots w, 1/conj(w).  g is self-inversive, so by Cohn's
+    theorem (Marden, *Geometry of Polynomials*, 1966, 45.1) all its roots lie
+    on the circle iff all roots of g' lie in the closed disk.  q/g has no
+    root on the circle, and the Schur-Cohn recursion (Henrici, *Applied and
+    Computational Complex Analysis* I, 6.8) decides that all its roots lie
+    inside: iff |a_0| < |a_n| and (a_n q - a_0 q*)/z, of one degree less and
+    by Rouche's theorem with one root fewer inside, passes again."""
+    g = gcd(_poly(q), _poly(q[::-1])).ints
+    if len(g) > 1:
+        if not _in_closed_unit_disk([k * c for k, c in enumerate(g)][1:]):
+            return False
+        q = _pdivmod(q, list(g))[1]
+    while len(q) > 1:
+        if abs(q[0]) >= abs(q[-1]):
+            return False
+        q = _primitive([q[-1] * x - q[0] * y for x, y in zip(q, reversed(q))][1:])
+    return True
+
+
+def roots_in_annulus(p: LaurentPoly, c) -> bool:
+    """Whether every nonzero root z of ``p`` has 1/c <= |z| <= c, decided
+    exactly for a rational c > 0: with c = u/v and d the degree of p's ints,
+    the roots of Q(z) = v^d p(uz/v), and of the Q of the reversal, must lie
+    in the closed unit disk (:func:`_in_closed_unit_disk`)."""
+    if not p:
+        raise ValueError("the zero polynomial has no root annulus")
+    c = Fraction(c)
+    u, v, d = c.numerator, c.denominator, len(p.ints) - 1
+    return all(_in_closed_unit_disk([a * u**k * v**(d - k) for k, a in enumerate(ints)])
+               for ints in (p.ints, p.ints[::-1]))
+
+
 # -- numeric roots: square-free split, Aberth, exact polishing ---------------
 
 
@@ -758,18 +797,6 @@ class _MpNumbers:
 _DOUBLES = _Doubles()
 
 
-def _horner(coeffs, z):
-    """p(z), p'(z) and the rounding scale sum |c_k| |z|^k (coefficients
-    ascending)."""
-    p = dp = scale = 0
-    r = abs(z)
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-        scale = scale * r + abs(c)
-    return p, dp, scale
-
-
 def _starts(numbers, f: list[int], seed: int) -> list:
     """Aberth start points on the Newton polygon of the integer polynomial f
     (Bini, Numer. Algorithms 13, 1996): each edge from i to j of the upper
@@ -796,11 +823,22 @@ def _aberth(numbers, f: list[int], seed: int) -> list:
     A root has converged, and stops moving, once |p(z)| / sum |c_k| |z|^k
     (its backward error) or its relative step is below the context's targets.
     Outside the unit disk p and p' are evaluated through the reversed
-    polynomial at 1/z, so no power of |z| is formed.
+    polynomial at w = 1/z, so no power of |z| is formed.  Horner's rule runs
+    inline, on the |c_k| taken once in each order.  The scale
+    sum |c_k| |w|^k is summed only when |w| > 1 or |p| is below the target
+    times sum |c_k|: for |w| <= 1 the scale, summed in the same order, is at
+    most that sum, as rounding is monotone, so the stopping decision is the
+    one the full sum gives.  The pair sum over j != k runs in ascending j.
     """
     deg = len(f) - 1
     cs = [numbers.ratio(c, f[-1]) for c in f]
-    rev = cs[::-1]
+    orders = []
+    for coeffs in (cs[::-1], cs):  # Horner's order of p at z, and of the reversal at 1/z
+        mags, total = [abs(c) for c in coeffs], 0
+        for m in mags:  # the scale at |w| = 1; not sum(), which compensates from Python 3.12
+            total += m
+        orders.append((coeffs, mags, total))
+    inner, outer = orders
     res_target, step_target = numbers.targets(deg)
     z = _starts(numbers, f, seed)
     moving = range(deg)
@@ -808,28 +846,45 @@ def _aberth(numbers, f: list[int], seed: int) -> list:
         still = []
         for k in moving:
             zk = z[k]
-            if abs(zk) <= 1:
-                pv, den, scale = _horner(cs, zk)
-                num = pv
+            r = abs(zk)
+            outside = r > 1
+            if outside:
+                w = 1 / zk
+                r = abs(w)
+                coeffs, mags, total = outer
             else:
-                y = 1 / zk
-                pv, dq, scale = _horner(rev, y)  # p(z) / z^deg
-                num, den = zk * pv, deg * pv - y * dq  # p'(z) / z^(deg-1) in den
+                w, (coeffs, mags, total) = zk, inner
+            pv = dp = 0
+            for c in coeffs:
+                dp = dp * w + pv
+                pv = pv * w + c
             if pv == 0:
                 continue
+            if outside:  # pv is p(z) / z^deg, and den p'(z) / z^(deg-1)
+                num, den = zk * pv, deg * pv - w * dp
+            else:
+                num, den = pv, dp
             try:
-                w = num / den
-                s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+                step = num / den
+                s = sum([1 / (zk - zj) for zj in z[:k] + z[k + 1:]])
             except ZeroDivisionError:  # a critical point, or two iterates collided
                 z[k] += step_target * (1 + abs(zk)) * (1 + 1j)
                 still.append(k)
                 continue
-            denom = 1 - w * s
-            delta = w if denom == 0 else w / denom
+            denom = 1 - step * s
+            delta = step if denom == 0 else step / denom
             z[k] = zk - delta
             if not numbers.finite(z[k]):
                 raise OverflowError("Aberth iterate left the double range")
-            if abs(pv) >= res_target * scale and abs(delta) >= step_target * max(1, abs(z[k])):
+            res = abs(pv)
+            if r > 1 or res < res_target * total:
+                scale = 0
+                for m in mags:
+                    scale = scale * r + m
+                large = res >= res_target * scale
+            else:
+                large = True
+            if large and abs(delta) >= step_target * max(1, abs(z[k])):
                 still.append(k)
         if not still:
             return z
@@ -1041,16 +1096,40 @@ def _polished(f: list[int], z: complex) -> complex:
 def _located_roots(numbers, p, q, factors, tol, seed):
     """The roots of each square-free factor through one number context
     (Aberth, :func:`_polished`), each once with its factor's multiplicity and
-    certified against q."""
+    certified against q.
+
+    On integer polynomials :func:`_polished` and :func:`_certified` commute
+    with conjugation bit for bit (IEEE arithmetic is sign-symmetric, and the
+    exact paths only negate b), so the iterates with Im >= 0 are polished
+    and certified first.  An iterate with Im < 0 whose conjugate lies within
+    2^-26 |r| of an unused polished root r with Im r > 2^-26 |r|, the nearest
+    such r, is reported as conj(r); the bound on Im r keeps the disks about
+    r and conj(r) apart, so a near-real cluster, where polishing from two
+    nearby points may land on two doubles, is polished as before.  Every
+    other iterate is polished and certified itself.  The duplicate check
+    covers every reported root."""
     out = []
     for f, mult in factors:
-        polished = [_polished(f, complex(z)) for z in _aberth(numbers, f, seed)]
-        if len(set(polished)) < len(polished):
+        iterates = [complex(z) for z in _aberth(numbers, f, seed)]
+        roots = [_polished(f, z) if z.imag >= 0 else None for z in iterates]
+        pool = [z for z in roots if z is not None and z.imag > 2.0**-26 * abs(z)]
+        mirrored = set()
+        for i, z in enumerate(iterates):
+            if roots[i] is None:
+                w = z.conjugate()
+                r = min(pool, key=lambda r: abs(r - w), default=None)
+                if r is not None and abs(r - w) <= 2.0**-26 * abs(r):
+                    pool.remove(r)
+                    roots[i] = r.conjugate()
+                    mirrored.add(i)
+                else:
+                    roots[i] = _polished(f, z)
+        if len(set(roots)) < len(roots):
             raise RootFindingError(f"two iterates reached the same root of {p.display()}")
-        for z in polished:
-            if not _certified(q, z, tol):
+        for i, z in enumerate(roots):
+            if i not in mirrored and not _certified(q, z, tol):
                 raise RootFindingError(f"root residual at {z} exceeds bound for {p.display()}")
-            out.append((z, mult))
+        out += [(z, mult) for z in roots]
     return out
 
 
@@ -1072,12 +1151,14 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     and distinct roots stay apart even when they round to the same double.
     Each root of a square-free factor is certified against the
     backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``; a root of
-    unity, which exact division proved, is not.
+    unity, which exact division proved, is not.  Both the polish and the
+    certificate run once per conjugate pair, whose lower root is reported
+    as the conjugate of the upper one (:func:`_located_roots`).
 
     The cyclotomic split dominates on torus knots, through its tests in
     doubles (T(140,141), degree 19,460: about 8.5 s, 0.2 s of it for the
     exact quotients), and the O(d^2) Aberth sweeps on the rest (a generic
-    degree-400 polynomial: about 0.9 s), against at most 0.03 s for the
+    degree-400 polynomial: about 0.8 s), against at most 0.03 s for the
     exact verdict (Python 3.11, one core of a shared 2-vCPU host).
 
     On a float overflow, non-convergence or a failed certificate, ``rest``

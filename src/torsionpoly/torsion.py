@@ -158,7 +158,8 @@ def _integer_poly(terms: dict[int, int]) -> LaurentPoly:
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     """Normalized GCD of the r-rowed minors, r the Bareiss :func:`rank`.
 
-    The result is 1 when r is zero.  Past :data:`MINOR_ENUMERATION_CAP`
+    The result is 1 when r is zero, once the rank at a point mod p shows
+    that r is not too low, as for every r.  Past :data:`MINOR_ENUMERATION_CAP`
     minors :class:`SizeBudgetExceeded` is raised before any is computed.
     The GCD is proved exactly: it divides every minor and the cofactors are
     coprime.  Each minor must be an integer polynomial within the m!k^m
@@ -167,15 +168,17 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     r; evaluation is a ring map, so :class:`InvariantViolation` means a bug.
     """
     r = rank(jac.entries)
+    if not jac.entries:
+        return LaurentPoly.one()
+    at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
+    if rank_det_mod_p(at)[0] > r:
+        raise InvariantViolation("the rank is below the rank at a point mod p")
     if r == 0:
         return LaurentPoly.one()
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
     if n_minors > MINOR_ENUMERATION_CAP:
         raise SizeBudgetExceeded(
             f"{n_minors} minors of size {r} exceed the cap of {MINOR_ENUMERATION_CAP}")
-    at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
-    if rank_det_mod_p(at)[0] > r:
-        raise InvariantViolation("the rank is below the rank at a point mod p")
     coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
     minors = []
     for ri in itertools.combinations(range(jac.num_relators), r):

@@ -8,11 +8,15 @@ import mpmath
 import sympy
 
 from torsionpoly.freegroup import Word
-from torsionpoly.laurent import InvariantViolation, LaurentPoly
+from torsionpoly.laurent import (
+    InvariantViolation, LaurentPoly, RootFindingError, _starts, cauchy_root_radius, complex_roots,
+    reciprocal,
+)
 from torsionpoly.presentation import (
     FinitePresentation, complexity_k, exponent_sum_matrix, root_bound,
 )
 from torsionpoly.sl2z import L_MAT, R_MAT, Mat2, RLWord, det, mat_mul, trace
+from torsionpoly.torsion import leaves_annulus
 
 
 # 33 letters; the Q[t] Smith form took minutes on it, the minors a millisecond
@@ -285,3 +289,82 @@ def census_by_rotation_sets(tau_max: int) -> dict[int, list[RLWord]]:
 
     extend((), ((1, 0), (0, 1)))
     return {tr: [RLWord(blocks) for blocks in sorted(found)] for tr, found in buckets.items()}
+
+
+# -- reference forms of the root layer ------------------------------------------
+
+
+def horner_with_scale(coeffs, z):
+    """p(z), p'(z) and the rounding scale sum |c_k| |z|^k (coefficients
+    ascending), all by Horner's rule in the arithmetic of z."""
+    p = dp = scale = 0
+    r = abs(z)
+    for c in reversed(coeffs):
+        dp = dp * z + p
+        p = p * z + c
+        scale = scale * r + abs(c)
+    return p, dp, scale
+
+
+def reference_aberth(numbers, f, seed):
+    """The Aberth-Ehrlich sweep that sums the scale at every step and the
+    pair sum by a generator: ``laurent._aberth`` must return its iterates
+    bit for bit, in doubles and in an mpmath context."""
+    deg = len(f) - 1
+    cs = [numbers.ratio(c, f[-1]) for c in f]
+    rev = cs[::-1]
+    res_target, step_target = numbers.targets(deg)
+    z = _starts(numbers, f, seed)
+    moving = range(deg)
+    for _ in range(600):
+        still = []
+        for k in moving:
+            zk = z[k]
+            if abs(zk) <= 1:
+                pv, den, scale = horner_with_scale(cs, zk)
+                num = pv
+            else:
+                y = 1 / zk
+                pv, dq, scale = horner_with_scale(rev, y)
+                num, den = zk * pv, deg * pv - y * dq
+            if pv == 0:
+                continue
+            try:
+                w = num / den
+                s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+            except ZeroDivisionError:
+                z[k] += step_target * (1 + abs(zk)) * (1 + 1j)
+                still.append(k)
+                continue
+            denom = 1 - w * s
+            delta = w if denom == 0 else w / denom
+            z[k] = zk - delta
+            if not numbers.finite(z[k]):
+                raise OverflowError("Aberth iterate left the double range")
+            if abs(pv) >= res_target * scale and abs(delta) >= step_target * max(1, abs(z[k])):
+                still.append(k)
+        if not still:
+            return z
+        moving = still
+    raise RootFindingError("Aberth iteration did not converge")
+
+
+def candidate_charpolys_by_roots(beta, n_denominator, c):
+    """``enumerate_candidate_charpolys`` with its filter decided by numeric
+    roots: a candidate passes the Cauchy certificate, or no root that
+    ``complex_roots`` reports leaves [1/c, c] by more than 1e-9."""
+    c = Fraction(c)
+    denom = n_denominator ** beta
+    ranges = []
+    for j in range(1, beta):
+        top = math.floor(math.comb(beta, beta - j) * c ** (beta - j) * denom)
+        ranges.append(range(-top, top + 1))
+    found = set()
+    for const in (1, -1):
+        for nums in itertools.product(*ranges):
+            p = LaurentPoly({beta: 1, 0: const, **{j: Fraction(num, denom)
+                                                   for j, num in zip(range(1, beta), nums)}})
+            if ((cauchy_root_radius(p) <= c and cauchy_root_radius(reciprocal(p)) <= c)
+                    or not leaves_annulus([abs(z) for z, _ in complex_roots(p, 1e-10)], c, 1e-10)):
+                found.add(p)
+    return sorted(found, key=lambda p: tuple(p.dense()))

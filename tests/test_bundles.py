@@ -1,15 +1,20 @@
-"""Monodromy matrices, mapping tori, power covers, candidate polynomials."""
+"""Monodromy matrices, mapping tori, power covers, candidate polynomials
+and the exact annulus test behind them."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from helpers import random_sl2z_matrix
+import torsionpoly.bundles as bundles_mod
+import torsionpoly.laurent as laurent_mod
+from helpers import candidate_charpolys_by_roots, random_sl2z_matrix
 from torsionpoly.bundles import (
     AlgebraicMonodromy,
+    _candidate_in_annulus,
     _resultant_power,
     HomologyBundleData,
     charpoly,
@@ -19,7 +24,13 @@ from torsionpoly.bundles import (
     power_cover,
     verify_monodromy_torsion,
 )
-from torsionpoly.laurent import LaurentPoly, complex_roots, normalize
+from torsionpoly.laurent import (
+    LaurentPoly,
+    cauchy_root_radius,
+    complex_roots,
+    normalize,
+    roots_in_annulus,
+)
 from torsionpoly.presentation import serialize_presentation, validate_epimorphism
 
 
@@ -244,6 +255,104 @@ def test_candidates_denominators():
     for p in cands:
         for coeff in p.dense():
             assert 4 % coeff.denominator == 0
+
+
+# -- the exact annulus test ---------------------------------------------------
+
+
+def reciprocal_pair(c, past=0):
+    """t^2 - (c + 1/c + past) t + 1: roots exactly c and 1/c when past is 0."""
+    c = Fraction(c)
+    return LaurentPoly({2: 1, 1: -(c + 1 / c + past), 0: 1})
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(3, 2)], ids=["2", "3/2"])
+def test_real_roots_on_both_circles_are_kept(c):
+    p = reciprocal_pair(c)
+    assert cauchy_root_radius(p) > c  # only the exact test can keep it
+    assert roots_in_annulus(p, c) and _candidate_in_annulus(p, c)
+    assert not roots_in_annulus(p, c - Fraction(1, 1000))
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(3, 2)], ids=["2", "3/2"])
+def test_complex_pairs_on_both_circles_are_kept(c):
+    # c e^(+-i pi/3) and e^(+-i pi/3) / c: (t^2 - c t + c^2)(t^2 - t/c + 1/c^2)
+    p = LaurentPoly({2: 1, 1: -c, 0: c * c}) * LaurentPoly({2: 1, 1: -1 / c, 0: 1 / (c * c)})
+    assert p.dense()[0] == p.dense()[-1] == 1
+    assert sorted(round(abs(z), 12) for z, _ in complex_roots(p, 1e-10)) == [round(float(1 / c), 12)] * 2 + [float(c)] * 2
+    assert roots_in_annulus(p, c) and _candidate_in_annulus(p, c)
+    assert not roots_in_annulus(p, c - Fraction(1, 1000))
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(3, 2)], ids=["2", "3/2"])
+def test_roots_just_past_the_circles_are_rejected(c):
+    p = reciprocal_pair(c, Fraction(1, 1000))
+    assert not roots_in_annulus(p, c) and not _candidate_in_annulus(p, c)
+    assert roots_in_annulus(p, c + Fraction(1, 100))
+
+
+def test_closed_disk_test_matches_root_moduli():
+    # seeded polynomials of degree 1-6 whose roots keep 1e-6 away from the
+    # unit circle, against the moduli of their numeric roots
+    rng = random.Random(20)
+    decided = Counter()
+    for _ in range(3600):
+        deg = rng.randint(1, 6)
+        q = [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice([1, -2, 3, 7, -12, 30])]
+        moduli = [abs(z) for z, _ in complex_roots(LaurentPoly.from_coeffs(q), 1e-10)]
+        if any(abs(m - 1) < 1e-6 for m in moduli):
+            continue
+        inside = all(m < 1 for m in moduli)
+        assert laurent_mod._in_closed_unit_disk(q) is inside, q
+        decided[inside] += 1
+    assert sum(decided.values()) >= 3000 and decided[True] >= 300 and decided[False] >= 300
+
+
+def on_circle_cases():
+    """(polynomial, all roots in the closed disk) built from factors with
+    roots on the circle, inside it, outside it, and at 0."""
+    phi = [lp(*laurent_mod._cyclotomic(n)) for n in (1, 2, 3, 5, 12)]
+    circle = lp(5, -6, 5) * lp(5, 8, 5)  # roots (3 +- 4i)/5 and (-4 +- 3i)/5
+    salem = lp(1, -1, -1, -1, 1)  # two roots on the circle, 1/x and x > 1
+    t = LaurentPoly.t()
+    return [
+        (phi[0] ** 3 * phi[1] ** 2, True),
+        (phi[2] * phi[3] ** 2 * phi[4], True),
+        (circle, True),
+        (circle ** 2 * lp(-1, 3) * t, True),
+        (circle * phi[4] ** 2 * lp(1, 0, 4), True),
+        (circle * lp(-2, 1), False),
+        (circle ** 2 * lp(-1, 2) * lp(-2, 1), False),
+        (phi[2] ** 2 * lp(1, 0, 0, 2), True),
+        (phi[2] * lp(2, 0, 0, 1), False),
+        (salem, False),
+        (salem * lp(1, 4), False),
+        (lp(1, 0, 1) ** 3, True),
+        (lp(1, 1, 0, 0, 0, 0, 1), False),
+    ]
+
+
+@pytest.mark.parametrize("p, inside", on_circle_cases())
+def test_closed_disk_test_on_the_circle(p, inside):
+    q = [int(c) for c in p.dense()]
+    assert laurent_mod._in_closed_unit_disk([0] * p.min_exp + q) is inside
+    moduli = [abs(z) for z, _ in complex_roots(p, 1e-10)]
+    assert (max(moduli) <= 1 + 1e-9) is inside
+
+
+@pytest.mark.parametrize("grid", [(1, 3, 2), (2, 1, 3), (2, 2, 2), (2, 3, Fraction(5, 2)), (3, 1, 2)],
+                         ids=lambda g: "-".join(map(str, g)))
+def test_candidates_match_the_numeric_filter(grid):
+    assert enumerate_candidate_charpolys(*grid) == candidate_charpolys_by_roots(*grid)
+
+
+def test_candidate_search_computes_no_roots(monkeypatch):
+    calls = []
+    real = laurent_mod.complex_roots
+    for mod in (laurent_mod, bundles_mod):
+        monkeypatch.setattr(mod, "complex_roots", lambda *a, **k: calls.append(a) or real(*a, **k))
+    found = [enumerate_candidate_charpolys(*grid) for grid in ((2, 2, 2), (3, 1, 2), (4, 1, 1))]
+    assert all(found) and calls == []
 
 
 def test_resultant_power_matches_sympy():

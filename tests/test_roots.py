@@ -3,8 +3,10 @@ cyclotomic split, the residual certificate in doubles and in integers,
 distinct roots reported apart however close, the mpmath fallback of
 :func:`complex_roots`, and its kernels: closed-form roots of unity against
 mpmath, fixed-point Newton steps against exact ones, Newton-polygon start
-points, real and imaginary-axis roots proved by a sign change, and a
-guard on the largest full report the degree budget admits."""
+points, real and imaginary-axis roots proved by a sign change, one polish
+and certificate per conjugate pair, the Aberth sweep against its plain
+reference, and a guard on the largest full report the degree budget
+admits."""
 
 import cmath
 import itertools
@@ -21,9 +23,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionpoly.laurent as laurent_mod
-from helpers import sympy_roots
+from helpers import horner_with_scale, reference_aberth, sympy_roots
 from torsionpoly.laurent import LaurentPoly, RootFindingError, complex_roots
 from torsionpoly.presentation import parse_presentation
 from torsionpoly.torsion import annulus_certify
@@ -389,7 +393,7 @@ def test_double_certificate_accepts_only_what_the_exact_one_does(monkeypatch):
         points = roots + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
         near = []
         for r in roots:
-            _, slope, scale = laurent_mod._horner(q, r)
+            _, slope, scale = horner_with_scale(q, r)
             for f in (rng.uniform(0.5, 2), rng.uniform(1 / 16, 1 / 2)):
                 near.append(r + cmath.rect(f * tol * scale / abs(slope), rng.uniform(0, 2 * math.pi)))
         for z in points + near:
@@ -516,17 +520,28 @@ def test_fixed_point_newton_step_is_the_exact_one():
 def test_undecided_fixed_point_steps_fall_back_to_exact_ones(monkeypatch):
     p = generic_poly(60, 7) * lp(-2, 0, 1) * (T - lp(3)) ** 2
     expected = complex_roots(p, TOL)
-    exact = []
-    real = laurent_mod._newton_exact
+    exact, fixed, polishes = [], [], []
+    real_exact, real_polish = laurent_mod._newton_exact, laurent_mod._polish
 
-    def spy(f, z):
+    def exact_spy(f, z):
         exact.append(z)
-        return real(f, z)
+        return real_exact(f, z)
 
-    monkeypatch.setattr(laurent_mod, "_newton_exact", spy)
-    monkeypatch.setattr(laurent_mod, "_newton_fixed", lambda f, z: None)
+    def polish_spy(f, z):
+        before = len(fixed), len(exact)
+        out = real_polish(f, z)
+        polishes.append((len(f), len(fixed) - before[0], len(exact) - before[1]))
+        return out
+
+    monkeypatch.setattr(laurent_mod, "_newton_exact", exact_spy)
+    monkeypatch.setattr(laurent_mod, "_newton_fixed", lambda f, z: fixed.append(z))
+    monkeypatch.setattr(laurent_mod, "_polish", polish_spy)
     assert complex_roots(p, TOL) == expected
-    assert len(exact) >= 63
+    # every polish stepped exactly, and past _FIXED_STEP_LENGTH coefficients
+    # each of its steps was first tried in fixed point and fell back
+    assert polishes and all(steps >= 1 for _, _, steps in polishes)
+    long = [(tried, steps) for n, tried, steps in polishes if n > laurent_mod._FIXED_STEP_LENGTH]
+    assert long and all(tried == steps for tried, steps in long)
 
 
 # -- Newton-polygon starts ------------------------------------------------------
@@ -551,21 +566,25 @@ def generic_poly(deg, seed):
     return LaurentPoly.from_coeffs([1] + [rng.choice([1, -1, 2, -2]) for _ in range(deg - 1)] + [1])
 
 
+class CountingDoubles(laurent_mod._Doubles):
+    """Machine ``complex`` that counts the Aberth updates it checks."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def finite(self, z):
+        self.steps += 1
+        return cmath.isfinite(z)
+
+
 def test_newton_polygon_starts_cut_the_aberth_sweeps(monkeypatch):
     # one circle at 0.7 times the Cauchy radius took about 64 sweeps at degree 200
-    calls = []
-    real = laurent_mod._horner
-
-    def spy(coeffs, z):
-        calls.append(1)
-        return real(coeffs, z)
-
-    monkeypatch.setattr(laurent_mod, "_horner", spy)
     for seed in (3, 4, 5):
-        calls.clear()
+        counting = CountingDoubles()
+        monkeypatch.setattr(laurent_mod, "_DOUBLES", counting)
         roots = complex_roots(generic_poly(200, seed), TOL)
         assert sum(m for _, m in roots) == 200
-        assert len(calls) < 64 * 200, seed
+        assert 0 < counting.steps < 64 * 200, seed
 
 
 # -- real roots ------------------------------------------------------------------
@@ -580,6 +599,117 @@ def test_real_roots_are_real_only_where_a_sign_change_proves_it():
     for seed in range(6):
         roots = complex_roots(lp(1, -4, 1) * lp(-2, 0, 0, 1), TOL, seed)
         assert sum(z.imag == 0 for z, _ in roots) == 3, seed
+
+
+# -- one polish per conjugate pair, and the lean Aberth sweep -------------------
+
+
+def polished_or_unsettled(f, z):
+    try:
+        return laurent_mod._polished(f, z)
+    except RootFindingError:
+        return None
+
+
+@st.composite
+def polys_and_points(draw, lengths):
+    """An integer polynomial with a given range of coefficient counts, and a
+    point at one of its Aberth iterates, moved by a small relative step."""
+    n = draw(st.integers(*lengths))
+    f = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    f[0], f[-1] = f[0] or 1, f[-1] or 1
+    iterates = laurent_mod._aberth(laurent_mod._DOUBLES, f, 0)
+    z = complex(iterates[draw(st.integers(0, len(iterates) - 1))])
+    step = draw(st.sampled_from([0, 1e-14, 1e-9, 1e-5]))
+    return f, z * complex(1 + step, draw(st.sampled_from([0, step, -step])))
+
+
+@pytest.mark.parametrize("lengths", [(2, laurent_mod._FIXED_STEP_LENGTH),
+                                     (laurent_mod._FIXED_STEP_LENGTH + 1, 45)],
+                         ids=["exact-steps", "fixed-point-steps"])
+def test_polish_commutes_with_conjugation(lengths):
+    @settings(max_examples=40, deadline=None)
+    @given(polys_and_points(lengths))
+    def check(case):
+        f, z = case
+        up, down = polished_or_unsettled(f, z), polished_or_unsettled(f, z.conjugate())
+        assert down == (None if up is None else up.conjugate()), (f, z)
+
+    check()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=2, max_size=12), st.booleans(),
+       st.sampled_from([0, 1e-13, 1e-10, 1e-7]), st.sampled_from([1e-10, 1e-7, 1e-4]), st.data())
+def test_certificate_commutes_with_conjugation(q, wide, step, tol, data):
+    # a wide q has coefficients past 2^53, which only the exact branch takes
+    q[0], q[-1] = q[0] or 1, q[-1] or 1
+    if wide:
+        q = [c << 60 for c in q]
+    roots = [z for z, _ in complex_roots(LaurentPoly.from_coeffs(q), TOL)]
+    z = data.draw(st.sampled_from(roots)) * complex(1 + step, step)
+    assert laurent_mod._certified(q, z.conjugate(), tol) == laurent_mod._certified(q, z, tol)
+    if wide:
+        assert not laurent_mod._certified_in_doubles(q, z, tol)
+
+
+def seeded_polys(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        deg = rng.randint(2, 60)
+        f = [rng.randint(-20, 20) for _ in range(deg)] + [rng.choice([1, 2, -3])]
+        f[0] = f[0] or 1
+        out.append(f)
+    return out
+
+
+def test_aberth_iterates_match_the_reference_sweep():
+    # the inline Horner's rule, the skipped scale sums and the list pair sum
+    # leave every iterate bit for bit where the plain sweep puts it
+    for i, f in enumerate(seeded_polys(40, 2024)):
+        got = laurent_mod._aberth(laurent_mod._DOUBLES, f, i)
+        assert [repr(z) for z in got] == [repr(z) for z in reference_aberth(laurent_mod._DOUBLES, f, i)]
+    for deg in (2, 5, 13, 31, 60):
+        rng = random.Random(deg)
+        f = [rng.randint(-20, 20) or 1 for _ in range(deg)] + [1]
+        got = laurent_mod._aberth(laurent_mod._MpNumbers(60), f, deg)
+        assert got == reference_aberth(laurent_mod._MpNumbers(60), f, deg), deg
+
+
+def test_one_polish_per_conjugate_pair(monkeypatch):
+    # the roots reported are those of polishing every Aberth iterate, while
+    # polishing runs once per real root and once per conjugate pair
+    calls = []
+    real = laurent_mod._polished
+    monkeypatch.setattr(laurent_mod, "_polished", lambda f, z: calls.append(z) or real(f, z))
+    for i, f in enumerate(seeded_polys(30, 7)):
+        assert laurent_mod._squarefree_mod_p(f)
+        every = sorted((real(f, complex(z)) for z in laurent_mod._aberth(laurent_mod._DOUBLES, f, i)),
+                       key=lambda z: (z.real, z.imag))
+        calls.clear()
+        roots = laurent_mod._located_roots(laurent_mod._DOUBLES, LaurentPoly.from_coeffs(f), f,
+                                           [(f, 1)], TOL, i)
+        assert sorted((z for z, _ in roots), key=lambda z: (z.real, z.imag)) == every
+        assert len(calls) == sum(z.imag >= 0 for z in every) <= len(f) - 1
+        assert sum(z.imag > 0 for z in every) == sum(z.imag < 0 for z in every)
+
+
+def test_near_real_clusters_are_polished_from_both_iterates(monkeypatch):
+    # two real roots 1.4e-32 apart next to 1/100 share one double; from the
+    # mpmath stage's two iterates the polish lands on 0.01 - 1.1e-27i and
+    # 0.01 + 5.6e-28i, not a conjugate pair, so neither may be mirrored
+    p = T**30 - lp(2) * lp(-1, 100) ** 2 * lp(1, 1, 1)
+    made = spy_mp(monkeypatch)
+    roots = [z for z, _ in complex_roots(p, TOL)]
+    assert made == [90]
+    f = list(laurent_mod.normalize(p).ints)
+    every = sorted((laurent_mod._polished(f, complex(z))
+                    for z in laurent_mod._aberth(laurent_mod._MpNumbers(90), f, 0)),
+                   key=lambda z: (z.real, z.imag))
+    assert roots == every
+    assert [z for z in roots if abs(z - 0.01) < 1e-20] == [0.01 - 1.1267229584780643e-27j,
+                                                          0.01 + 5.633614792390304e-28j]
 
 
 # -- hang guard ------------------------------------------------------------------

@@ -498,6 +498,7 @@ def test_invariant_violation_survives_optimize():
         "optimize=1 numerator plus 1 determinant: an inexact division in Bareiss elimination"
         " (packed)",
         "optimize=1 numerator plus 1 rank: an inexact division in Bareiss elimination (packed)",
+        "optimize=1 rank - 1 on x^21 y^-22: the rank is below the rank at a point mod p",
         "optimize=1 gcd times (t+2) on T(21,22): the minor GCD does not divide every minor"
         " (packed)",
     ]
@@ -505,7 +506,8 @@ def test_invariant_violation_survives_optimize():
 
 # The same faults where the divisor is past the packed crossover: a Bareiss
 # pivot of 41 terms, and the degree-420 Delta of T(21,22) times (t+2).  The
-# division that rejects must be the packed one, with no sparse fallback.
+# division that rejects must be the packed one, with no sparse fallback.  A
+# rank one too low on T(21,22) is 0, which the check mod p must catch too.
 _PACKED_FAULTS = """
 import sys
 import torsionpoly.laurent as L
@@ -545,9 +547,14 @@ for name in ("determinant", "rank"):
     report(f"numerator plus 1 {name}", lambda: getattr(L, name)(m))
 L._sub_mul = real_sub_mul
 
+jac = T.specialize_jacobian(parse_presentation("gens: x, y\\nrel: x^21 y^-22\\n"), (22, 21))
+real_rank = T.rank
+T.rank = lambda rows: real_rank(rows) - 1  # one relator: rank 0, caught before Delta = 1
+report("rank - 1 on x^21 y^-22", lambda: T.torsion_polynomial(jac))
+T.rank = real_rank
+
 real_gcd = T.gcd
 T.gcd = lambda a, b: real_gcd(a, b) * (t + LaurentPoly.constant(2))
-jac = T.specialize_jacobian(parse_presentation("gens: x, y\\nrel: x^21 y^-22\\n"), (22, 21))
 report("gcd times (t+2) on T(21,22)", lambda: T.torsion_polynomial(jac))
 """
 
