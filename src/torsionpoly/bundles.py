@@ -21,11 +21,9 @@ from typing import NamedTuple
 from .freegroup import Word
 from .laurent import (
     LaurentPoly,
-    cauchy_root_radius,
     complex_roots,
     determinant,
     normalize,
-    reciprocal,
     roots_in_annulus,
 )
 from .presentation import LETTER_CAP, POWER_COVER_CAP, FinitePresentation
@@ -245,10 +243,11 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
 
     Coefficients have denominators dividing n_denominator**beta, constant
     term +/-1, elementary-symmetric magnitude bounds C(beta,k)*c^k, and all
-    roots of modulus within [1/c, c].  That condition is decided exactly, in
-    integers, by the Cauchy certificate when it applies and by the
-    Schur-Cohn recursion with Cohn's theorem for roots on the circle
-    otherwise; no root is computed.  Output is duplicate-free, sorted by
+    roots of modulus within [1/c, c].  A candidate, unlike a torsion
+    polynomial, has no proven annulus, so that condition is decided exactly,
+    in integers, by :func:`~torsionpoly.laurent.roots_in_annulus` (the
+    Schur-Cohn recursion, with Cohn's theorem for roots on the circle); no
+    root is computed.  Output is duplicate-free, sorted by
     coefficient tuple, and closed under the reciprocal map.
     """
     if not (1 <= beta <= 4):
@@ -276,15 +275,6 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
                 if num:
                     coeffs[j] = Fraction(num, denom)
             p = LaurentPoly(coeffs)
-            if _candidate_in_annulus(p, c):
+            if roots_in_annulus(p, c):
                 found.add(p)
     return sorted(found, key=lambda p: tuple(p.dense()))
-
-
-def _candidate_in_annulus(p: LaurentPoly, c: Fraction) -> bool:
-    """The Cauchy certificate, else the Schur-Cohn and Cohn test of
-    :func:`~torsionpoly.laurent.roots_in_annulus`; both are exact, and a
-    candidate, unlike a torsion polynomial, has no proven annulus."""
-    if cauchy_root_radius(p) <= c and cauchy_root_radius(reciprocal(p)) <= c:
-        return True
-    return roots_in_annulus(p, c)

@@ -31,8 +31,9 @@ such roots by Newton steps that round as the exact step does (in fixed
 point where its error bound decides, else exactly), reports a root as
 real where a sign change proves it, and certifies them against a
 backward-error bound, in doubles where a rounding-error bound proves it,
-else exactly.  Polishing and certifying commute with conjugation, so each
-conjugate pair is polished and certified once.  Multiplicities come from the exact split alone,
+else exactly.  Each conjugate pair is polished and certified once: the
+conjugate of a certified root of a real polynomial is certified.
+Multiplicities come from the exact split alone,
 so each root is reported once and distinct roots are never merged.  Only
 when locating or certifying fails does the rest run in a private mpmath
 context; mpmath is imported there only.
@@ -543,7 +544,7 @@ def _in_closed_unit_disk(q: list[int]) -> bool:
     if len(g) > 1:
         if not _in_closed_unit_disk([k * c for k, c in enumerate(g)][1:]):
             return False
-        q = _pdivmod(q, list(g))[1]
+        q = _exact_quotient(q, list(g))
     while len(q) > 1:
         if abs(q[0]) >= abs(q[-1]):
             return False
@@ -1098,16 +1099,20 @@ def _located_roots(numbers, p, q, factors, tol, seed):
     (Aberth, :func:`_polished`), each once with its factor's multiplicity and
     certified against q.
 
-    On integer polynomials :func:`_polished` and :func:`_certified` commute
-    with conjugation bit for bit (IEEE arithmetic is sign-symmetric, and the
-    exact paths only negate b), so the iterates with Im >= 0 are polished
-    and certified first.  An iterate with Im < 0 whose conjugate lies within
-    2^-26 |r| of an unused polished root r with Im r > 2^-26 |r|, the nearest
-    such r, is reported as conj(r); the bound on Im r keeps the disks about
-    r and conj(r) apart, so a near-real cluster, where polishing from two
-    nearby points may land on two doubles, is polished as before.  Every
-    other iterate is polished and certified itself.  The duplicate check
-    covers every reported root."""
+    The iterates with Im >= 0 are polished and certified first.  An iterate
+    z with Im < 0 whose conjugate lies within 2^-26 |r| of an unused polished
+    root r with Im r > 2^-26 |r|, the nearest such r, is reported as
+    conj(r): q is real, so conj(r) is certified as r is.  The bound on Im r
+    keeps the disks about r and conj(r) apart, so a near-real cluster is
+    polished from each iterate.  Every other iterate is polished and
+    certified itself.  The duplicate check covers every reported root.
+
+    :func:`_polished` and :func:`_certified` commute with conjugation bit
+    for bit on integer polynomials (IEEE arithmetic is sign-symmetric, and
+    the exact paths only negate b), so conj(r) is what polishing z itself
+    would report only when polishing from conj(z) and from r's own iterate
+    reaches the same double.  That is not proved: two nearby starts can end
+    one double apart, or one can fail where the other settles."""
     out = []
     for f, mult in factors:
         iterates = [complex(z) for z in _aberth(numbers, f, seed)]
@@ -1153,7 +1158,7 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     backward-error bound ``|q(z)| <= tol * sum |c_k| |z|^k``; a root of
     unity, which exact division proved, is not.  Both the polish and the
     certificate run once per conjugate pair, whose lower root is reported
-    as the conjugate of the upper one (:func:`_located_roots`).
+    as the conjugate of the certified upper one (:func:`_located_roots`).
 
     The cyclotomic split dominates on torus knots, through its tests in
     doubles (T(140,141), degree 19,460: about 8.5 s, 0.2 s of it for the

@@ -168,6 +168,10 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     r; evaluation is a ring map, so :class:`InvariantViolation` means a bug.
     """
     r = rank(jac.entries)
+    n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
+    if n_minors > MINOR_ENUMERATION_CAP:
+        raise SizeBudgetExceeded(
+            f"{n_minors} minors of size {r} exceed the cap of {MINOR_ENUMERATION_CAP}")
     if not jac.entries:
         return LaurentPoly.one()
     at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
@@ -175,10 +179,6 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
         raise InvariantViolation("the rank is below the rank at a point mod p")
     if r == 0:
         return LaurentPoly.one()
-    n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
-    if n_minors > MINOR_ENUMERATION_CAP:
-        raise SizeBudgetExceeded(
-            f"{n_minors} minors of size {r} exceed the cap of {MINOR_ENUMERATION_CAP}")
     coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
     minors = []
     for ri in itertools.combinations(range(jac.num_relators), r):

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 import torsionpoly
-import torsionpoly.bundles as bundles_mod
 import torsionpoly.laurent as laurent_mod
 import torsionpoly.torsion as torsion_mod
 from helpers import (
@@ -334,7 +333,7 @@ def test_leaves_annulus_and_candidate_filter(coeffs, c, rejected):
     p, c = lp(*coeffs), Fraction(c)
     mods = [abs(z) for z, _ in complex_roots(p, 1e-10)]
     assert torsion_mod.leaves_annulus(mods, c, 1e-10) is rejected
-    assert bundles_mod._candidate_in_annulus(p, c) is not rejected
+    assert laurent_mod.roots_in_annulus(p, c) is not rejected
 
 
 def test_verdict_rests_on_the_minor_bound(monkeypatch):
