@@ -517,7 +517,7 @@ def reciprocal(p: LaurentPoly) -> LaurentPoly:
 
 
 def cauchy_root_radius(p: LaurentPoly) -> Fraction:
-    """Exact Cauchy-type root bound 1 + sum |b_i|.
+    """Exact Cauchy-type root bound 1 + sum |b_i| = ||p||_1 / |lead|.
 
     Here t^s + b_{s-1} t^{s-1} + ... + b_0 is the monic polynomial with the
     same nonzero roots as ``p``; every nonzero root z of ``p`` satisfies
@@ -525,8 +525,7 @@ def cauchy_root_radius(p: LaurentPoly) -> Fraction:
     """
     if not p:
         raise ValueError("the zero polynomial has no root radius")
-    lead = abs(p.ints[-1])
-    return 1 + Fraction(sum(map(abs, p.ints)) - lead, lead)
+    return Fraction(sum(map(abs, p.ints)), abs(p.ints[-1]))
 
 
 def _in_closed_unit_disk(q: list[int]) -> bool:

@@ -6,8 +6,9 @@ map sending a word w to t^(psi(w)), take the GCD of the r-rowed minors
 nonzero root of the result lies in the annulus [1/c, c] for
 c = 1 + m! * k^m.  The specialization walks each relator once with a
 running psi-weight, so no group-ring derivative is ever built.  The GCD is
-certified exactly, the minors and the rank are checked at one point mod a
-prime, and the annulus verdict follows exactly from the m!k^m bound on the
+certified exactly; at one point mod a prime the rank is checked where it
+could be too low, and the minors that Bareiss computed (a 1-minor is its
+entry).  The annulus verdict follows exactly from the m!k^m bound on the
 minors; numeric roots are only reported, and checked against it.
 
 For presentations of 3-manifold groups the normalized GCD is the torsion
@@ -18,7 +19,6 @@ topological reading is conditional on the input.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -35,6 +35,7 @@ from .laurent import (
     determinant,
     exact_div,
     gcd,
+    normalize,
     rank,
     rank_det_mod_p,
     reciprocal,
@@ -158,47 +159,56 @@ def _integer_poly(terms: dict[int, int]) -> LaurentPoly:
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     """Normalized GCD of the r-rowed minors, r the Bareiss :func:`rank`.
 
-    The result is 1 when r is zero, once the rank at a point mod p shows
-    that r is not too low, as for every r.  Past :data:`MINOR_ENUMERATION_CAP`
-    minors :class:`SizeBudgetExceeded` is raised before any is computed.
-    The GCD is proved exactly: it divides every minor and the cofactors are
-    coprime.  Each minor must be an integer polynomial within the m!k^m
-    norm bound (the proof of :func:`annulus_certify`) and equal its
-    submatrix's determinant mod p at one point, where the rank is at most
-    r; evaluation is a ring map, so :class:`InvariantViolation` means a bug.
+    Past :data:`MINOR_ENUMERATION_CAP` minors :class:`SizeBudgetExceeded`
+    is raised before any is computed.  At one point mod p the rank must not
+    exceed r (checked when r < min(rows, columns), else it cannot), and a
+    minor of size r >= 2 must equal its submatrix's determinant (a 1-minor
+    is its entry).  Each minor must be an integer polynomial within the
+    m!k^m norm bound (the proof of :func:`annulus_certify`).  The GCD is
+    proved exactly: it divides every minor and the cofactors are coprime.
+    It starts as the first nonzero minor, normalized, and only a minor it
+    does not divide runs :func:`gcd`.  :class:`InvariantViolation` means a bug.
     """
     r = rank(jac.entries)
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
     if n_minors > MINOR_ENUMERATION_CAP:
         raise SizeBudgetExceeded(
             f"{n_minors} minors of size {r} exceed the cap of {MINOR_ENUMERATION_CAP}")
-    if not jac.entries:
-        return LaurentPoly.one()
-    at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
-    if rank_det_mod_p(at)[0] > r:
+    check_rank = r < min(jac.num_relators, jac.num_generators)
+    if check_rank or r >= 2:
+        at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
+    if check_rank and rank_det_mod_p(at)[0] > r:
         raise InvariantViolation("the rank is below the rank at a point mod p")
     if r == 0:
         return LaurentPoly.one()
     coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
-    minors = []
+    delta, cofactors = LaurentPoly.zero(), []
     for ri in itertools.combinations(range(jac.num_relators), r):
         for ci in itertools.combinations(range(jac.num_generators), r):
-            d = determinant([[jac.entries[i][j] for j in ci] for i in ri])
+            d = jac.entries[ri[0]][ci[0]] if r == 1 else determinant(
+                [[jac.entries[i][j] for j in ci] for i in ri])
             if d.den != 1:
                 raise InvariantViolation("a minor has a non-integer coefficient")
             if sum(map(abs, d.ints)) > coeff_bound:
                 raise InvariantViolation("minor exceeds the m!k^m coefficient bound")
-            if value_mod_p(d, _CHECK_POINT) != rank_det_mod_p([[at[i][j] for j in ci] for i in ri])[1]:
+            if r >= 2 and value_mod_p(d, _CHECK_POINT) != rank_det_mod_p(
+                    [[at[i][j] for j in ci] for i in ri])[1]:
                 raise InvariantViolation("a minor disagrees with its determinant mod p")
-            if d:
-                minors.append(d)
-    if not minors:
+            if not d:
+                continue
+            delta = delta or normalize(d)
+            try:
+                cofactors.append(exact_div(d, delta))
+            except ArithmeticError:  # delta loses the factors that d lacks
+                shrunk = gcd(delta, d)
+                try:
+                    lost = exact_div(delta, shrunk)
+                    cofactors = [f * lost for f in cofactors] + [exact_div(d, shrunk)]
+                except ArithmeticError:
+                    raise InvariantViolation("the minor GCD does not divide every minor") from None
+                delta = shrunk
+    if not delta:
         raise InvariantViolation(f"every minor of size {r} vanishes")
-    delta = functools.reduce(gcd, minors, LaurentPoly.zero())
-    try:
-        cofactors = [exact_div(d, delta) for d in minors]
-    except ArithmeticError:
-        raise InvariantViolation("the minor GCD does not divide every minor") from None
     if not coprime(cofactors):
         raise InvariantViolation("the minors share a factor beyond the minor GCD")
     return delta

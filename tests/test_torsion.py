@@ -1,5 +1,6 @@
 """Specialization, torsion polynomials, and annulus certification."""
 
+import functools
 import itertools
 import math
 import os
@@ -316,6 +317,90 @@ def test_specialization_matches_group_ring_oracle():
     assert checked > 100
 
 
+# -- the running minor GCD against the GCD of every minor -------------------
+
+
+def _minors(jac):
+    r = torsion_mod.rank(jac.entries)
+    return [determinant([[jac.entries[i][j] for j in ci] for i in ri])
+            for ri in itertools.combinations(range(jac.num_relators), r)
+            for ci in itertools.combinations(range(jac.num_generators), r)]
+
+
+def _shrinking_jacobians():
+    """Random 2x3 and 3x4 Jacobians whose entries are products of small
+    factors, with k their total norm."""
+    rng = random.Random(5)
+    t, one = LaurentPoly.t(), LaurentPoly.one()
+    factors = [t - one, t + one, t + one + one, t * t + one, t * t - t + one, t.scale(3) - one]
+    while True:
+        rows, cols = rng.choice(((2, 3), (3, 4)))
+        entries = tuple(tuple(math.prod(rng.sample(factors, rng.randint(0, 3)), start=one)
+                              if rng.random() < 0.8 else LaurentPoly.zero()
+                              for _ in range(cols)) for _ in range(rows))
+        k = sum(sum(map(abs, e.ints)) for row in entries for e in row)
+        yield torsion_mod.SpecializedJacobian(entries, (0,) * cols, k, cols)
+
+
+def _running_gcd(monkeypatch, jac):
+    """(Delta, the cofactors it certified, the number of gcd calls)."""
+    seen, calls = [], []
+    monkeypatch.setattr(torsion_mod, "coprime", lambda fs: seen.append(fs) or laurent_mod.coprime(fs))
+    monkeypatch.setattr(torsion_mod, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    delta = torsion_polynomial(jac)
+    return delta, seen[0] if seen else None, len(calls)
+
+
+def test_running_gcd_matches_the_gcd_of_every_minor(monkeypatch):
+    jacobians = [specialize_jacobian(pres, psi) for pres, psi in _differential_cases()]
+    shrinking = []
+    for jac in _shrinking_jacobians():
+        if len(shrinking) == 12:
+            break
+        if _running_gcd(monkeypatch, jac)[2] >= 2:
+            shrinking.append(jac)
+    shrunk_twice = 0
+    for jac in jacobians + shrinking:
+        delta, cofactors, calls = _running_gcd(monkeypatch, jac)
+        if torsion_mod.rank(jac.entries) == 0:
+            assert (delta, cofactors) == (LaurentPoly.one(), None)
+            continue
+        minors = [d for d in _minors(jac) if d]
+        assert delta == functools.reduce(gcd, minors, LaurentPoly.zero())
+        assert cofactors == [laurent_mod.exact_div(d, delta) for d in minors]
+        shrunk_twice += jac.num_relators > 1 and calls >= 2
+    assert len(jacobians) > 400 and shrunk_twice >= 16
+
+
+def test_one_row_certificate_skips_the_checks_that_cannot_fire(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check mod p ran on a one-row Jacobian at r = 1")
+
+    jac = specialize_jacobian(parse_presentation("gens: x, y\nrel: x^2 y^-3\n"), (3, 2))
+    for name in ("determinant", "value_mod_p", "rank_det_mod_p"):
+        monkeypatch.setattr(torsion_mod, name, refuse)
+    assert torsion_polynomial(jac) == lp(1, -1, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(torsion_mod, "rank", lambda rows: 0)
+    with pytest.raises(laurent_mod.InvariantViolation, match="the rank is below the rank at a point mod p"):
+        torsion_polynomial(jac)
+
+
+def test_genus_two_scan_runs_at_most_one_gcd_per_map(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    for module in (torsion_mod, laurent_mod):
+        monkeypatch.setattr(module, "gcd", counted)
+    entry = next(e for e in THREE_MANIFOLD_CORPUS if e.name == "genus-two-surface-times-interval")
+    reports = scan(entry.presentation(), 2, certify_only=True)
+    assert len(reports) == 272 and {r.delta for r in reports} == {lp(-1, 1)}
+    assert len(calls) <= len(reports)
+
+
 # -- the float filter, the exact verdict and the theorem behind it ----------
 
 
@@ -463,6 +548,8 @@ faults = {
 }
 text, psi = sys.argv[1], tuple(int(v) for v in sys.argv[2].split(","))
 jac = T.specialize_jacobian(parse_presentation(text), psi)
+if jac.num_relators == 1:  # each 1-minor is its entry: no determinant to fault
+    del faults["one minor times (t+2)"]
 print("unfaulted degree", T.torsion_polynomial(jac).span())
 for label, (name, wrong) in faults.items():
     setattr(T, name, wrong)
@@ -489,6 +576,17 @@ def test_invariant_violation_survives_optimize():
         "optimize=1 gcd replaced by 1: the minors share a factor beyond the minor GCD",
         "optimize=1 rank - 1: the rank is below the rank at a point mod p",
         "optimize=1 rank + 1: every minor of size 3 vanishes",
+    ]
+    # one relator: the minors are the entries, and gcd runs once, on the second
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS, "gens: x, y\nrel: x^2 y^-3\n",
+                           "3,2"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "unfaulted degree 2",
+        "optimize=1 gcd times (t+2): the minor GCD does not divide every minor",
+        "optimize=1 gcd replaced by 1: the minors share a factor beyond the minor GCD",
+        "optimize=1 rank - 1: the rank is below the rank at a point mod p",
+        "optimize=1 rank + 1: every minor of size 2 vanishes",
     ]
     proc = subprocess.run([sys.executable, "-O", "-c", _PACKED_FAULTS], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -598,6 +696,8 @@ def test_inexact_bareiss_division_survives_optimize():
     ]
 
 
+# A 1-minor is read from the Jacobian and a larger one from determinant, so
+# the faulted minor is planted where the input's rank r reads it.
 _BOUND_FAULTS = """
 import sys
 from fractions import Fraction
@@ -605,10 +705,11 @@ import torsionpoly.torsion as T
 from torsionpoly.laurent import InvariantViolation
 from torsionpoly.presentation import parse_presentation
 
-real = {name: getattr(T, name) for name in ("determinant", "complex_roots")}
+real = {name: getattr(T, name) for name in ("determinant", "specialize_jacobian", "complex_roots")}
 pres = parse_presentation(sys.argv[1])
 psi = tuple(int(v) for v in sys.argv[2].split(","))
 c = T.annulus_certify(pres, psi, certify_only=True).c
+r = T.rank(T.specialize_jacobian(pres, psi).entries)
 
 def first_minor_times(factor):
     seen = []
@@ -620,14 +721,25 @@ def first_minor_times(factor):
         return d
     return wrong
 
+def first_entry_times(factor):
+    def wrong(pres, psi):
+        jac = real["specialize_jacobian"](pres, psi)
+        rows = [list(row) for row in jac.entries]
+        i, j = next((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e)
+        rows[i][j] = rows[i][j].scale(factor)
+        return jac._replace(entries=tuple(map(tuple, rows)))
+    return wrong
+
 def roots_times_2c(p, tol, seed):
     return [(z * float(2 * c), m) for z, m in real["complex_roots"](p, tol, seed)]
 
+minor = ("determinant", first_minor_times) if r >= 2 else ("specialize_jacobian", first_entry_times)
 faults = {
-    "one minor times c": ("determinant", first_minor_times(c)),
-    "one minor halved": ("determinant", first_minor_times(Fraction(1, 2))),
+    "one minor times c": (minor[0], minor[1](c)),
+    "one minor halved": (minor[0], minor[1](Fraction(1, 2))),
     "roots times 2c": ("complex_roots", roots_times_2c),
 }
+print("rank", r)
 for label, (name, wrong) in faults.items():
     setattr(T, name, wrong)
     try:
@@ -642,14 +754,17 @@ for label, (name, wrong) in faults.items():
 def test_annulus_invariants_survive_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _BOUND_FAULTS, "gens: x, y\nrel: x y x Y X Y\n",
-                           "1,1"], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "optimize=1 one minor times c: minor exceeds the m!k^m coefficient bound",
-        "optimize=1 one minor halved: a minor has a non-integer coefficient",
-        "optimize=1 roots times 2c: a reported root leaves the proven annulus [1/c, c]",
-    ]
+    for text, psi, r in [("gens: x, y\nrel: x y x Y X Y\n", (1, 1), 1), (SWELL, SWELL_PSI, 2)]:
+        proc = subprocess.run([sys.executable, "-O", "-c", _BOUND_FAULTS, text,
+                               ",".join(map(str, psi))], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"rank {r}",
+            "optimize=1 one minor times c: minor exceeds the m!k^m coefficient bound",
+            "optimize=1 one minor halved: a minor has a non-integer coefficient",
+            "optimize=1 roots times 2c: a reported root leaves the proven annulus [1/c, c]",
+        ]
 
 
 def test_certify_only_never_runs_smith(monkeypatch):
