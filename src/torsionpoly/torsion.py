@@ -8,8 +8,10 @@ c = 1 + m! * k^m.  The specialization walks each relator once with a
 running psi-weight, so no group-ring derivative is ever built.  The GCD is
 certified exactly; at one point mod a prime the rank is checked where it
 could be too low, and the minors that Bareiss computed (a 1-minor is its
-entry).  The annulus verdict follows exactly from the m!k^m bound on the
-minors; numeric roots are only reported, and checked against it.
+entry).  On deficiency one, psi primitive, it starts from one minor by Fox's
+formula sum_j J_ij (t^psi_j - 1) = 0, and the certificate still proves it.
+The annulus verdict follows exactly from the m!k^m bound on the minors;
+numeric roots are only reported, and checked against it.
 
 For presentations of 3-manifold groups the normalized GCD is the torsion
 polynomial of the corresponding infinite cyclic cover; for arbitrary
@@ -166,8 +168,12 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     is its entry).  Each minor must be an integer polynomial within the
     m!k^m norm bound (the proof of :func:`annulus_certify`).  The GCD is
     proved exactly: it divides every minor and the cofactors are coprime.
-    It starts as the first nonzero minor, normalized, and only a minor it
-    does not divide runs :func:`gcd`.  :class:`InvariantViolation` means a bug.
+    It starts as the first nonzero minor D_j (column j left out), normalized,
+    and only a minor it does not divide runs :func:`gcd`.  If r = rows =
+    columns - 1 and psi is primitive, Fox's formula sum_j J_ij (t^psi_j - 1)
+    = 0 gives D_j (t^psi_i - 1) = +-D_i (t^psi_j - 1), so it starts at
+    D_j / (1 + t + ... + t^(|psi_j|-1)); too large a start shrinks, too small
+    leaves the cofactors a common factor.  :class:`InvariantViolation` is a bug.
     """
     r = rank(jac.entries)
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
@@ -182,6 +188,7 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     if r == 0:
         return LaurentPoly.one()
     coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
+    fox = r == jac.num_relators == jac.num_generators - 1 and math.gcd(*jac.psi) == 1
     delta, cofactors = LaurentPoly.zero(), []
     for ri in itertools.combinations(range(jac.num_relators), r):
         for ci in itertools.combinations(range(jac.num_generators), r):
@@ -196,7 +203,8 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
                 raise InvariantViolation("a minor disagrees with its determinant mod p")
             if not d:
                 continue
-            delta = delta or normalize(d)
+            delta = delta or (_fox_seed(d, jac.psi[sum(range(r + 1)) - sum(ci)]) if fox
+                              else normalize(d))
             try:
                 cofactors.append(exact_div(d, delta))
             except ArithmeticError:  # delta loses the factors that d lacks
@@ -212,6 +220,14 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     if not coprime(cofactors):
         raise InvariantViolation("the minors share a factor beyond the minor GCD")
     return delta
+
+
+def _fox_seed(d: LaurentPoly, e: int) -> LaurentPoly:
+    """The GCD Fox's formula gives from the minor d without a column of psi e."""
+    try:
+        return normalize(exact_div(d, _poly([1] * abs(e))))
+    except ArithmeticError:  # ZeroDivisionError too, at e = 0
+        raise InvariantViolation("a minor breaks Fox's fundamental formula") from None
 
 
 class AnnulusReport(NamedTuple):

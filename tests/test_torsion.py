@@ -16,7 +16,8 @@ import torsionpoly
 import torsionpoly.laurent as laurent_mod
 import torsionpoly.torsion as torsion_mod
 from helpers import (
-    SWELL, SWELL_PSI, random_presentation, root_bound_c, sympy_minor_gcd, sympy_roots,
+    SWELL, SWELL_PSI, random_presentation, random_word, root_bound_c, sympy_minor_gcd,
+    sympy_roots,
 )
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
@@ -342,34 +343,101 @@ def _shrinking_jacobians():
         yield torsion_mod.SpecializedJacobian(entries, (0,) * cols, k, cols)
 
 
+def _int_det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _int_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def _deficiency_one_draws(seed, count, max_psi=12):
+    """Random presentations with 1-4 relators on one generator more, and psi
+    the primitive kernel vector of the exponent sums (the signed maximal
+    minors), with a negative entry; |psi_j| <= max_psi keeps the reference
+    gcd of the minors cheap."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rows = rng.randint(1, 4)
+        relators = tuple(random_word(rng, rows + 1, 16) for _ in range(rows))
+        if not all(relators):
+            continue
+        pres = FinitePresentation(tuple("abcde"[:rows + 1]), relators)
+        e = [list(row) for row in exponent_sum_matrix(pres)]
+        psi = [(-1) ** j * _int_det([row[:j] + row[j + 1:] for row in e]) for j in range(rows + 1)]
+        g = math.gcd(*psi)
+        if not g or max(map(abs, psi)) > g * max_psi:
+            continue
+        psi = tuple(v // g for v in psi)
+        out.append((pres, psi if min(psi) < 0 else tuple(-v for v in psi)))
+    return out
+
+
+def _composite(pq, rs, sign):
+    """The group x^p = y^q, u^r = v^s, x y^-1 = u v^-1 (three relators on
+    four generators) with its map to Z."""
+    (p, q), (r, s) = pq, rs
+    g = math.gcd(q - p, s - r)
+    a, b = (s - r) // g, (q - p) // g
+    text = f"gens: x, y, u, v\nrel: x^{p} y^-{q}\nrel: u^{r} v^-{s}\nrel: x Y v U\n"
+    return parse_presentation(text), tuple(sign * v for v in (q * a, p * a, s * b, r * b))
+
+
+COMPOSITES = [_composite(pq, rs, sign) for pq, rs in [
+    ((2, 3), (2, 3)), ((2, 5), (2, 5)), ((3, 4), (3, 4)), ((2, 3), (2, 5)), ((2, 5), (3, 4)),
+    ((3, 5), (2, 7))] for sign in (1, -1)]
+_FOX_SEED = torsion_mod._fox_seed
+
+
 def _running_gcd(monkeypatch, jac):
-    """(Delta, the cofactors it certified, the number of gcd calls)."""
-    seen, calls = [], []
+    """(Delta, the cofactors it certified, the number of gcd calls, the
+    number of Fox seeds taken)."""
+    seen, calls, seeds = [], [], []
     monkeypatch.setattr(torsion_mod, "coprime", lambda fs: seen.append(fs) or laurent_mod.coprime(fs))
     monkeypatch.setattr(torsion_mod, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    monkeypatch.setattr(torsion_mod, "_fox_seed", lambda d, e: seeds.append(e) or _FOX_SEED(d, e))
     delta = torsion_polynomial(jac)
-    return delta, seen[0] if seen else None, len(calls)
+    return delta, seen[0] if seen else None, len(calls), len(seeds)
 
 
 def test_running_gcd_matches_the_gcd_of_every_minor(monkeypatch):
-    jacobians = [specialize_jacobian(pres, psi) for pres, psi in _differential_cases()]
-    shrinking = []
+    """Every running GCD, seeded by Fox's formula on deficiency one or not,
+    against the GCD of all minors; the psi = 0 Jacobians are never seeded."""
+    groups = {
+        "differential": list(_differential_cases()),
+        "random deficiency one": _deficiency_one_draws(22, 260),
+        "corpus": [(e.presentation(), e.psi) for e in THREE_MANIFOLD_CORPUS],
+        "composite": COMPOSITES,
+    }
+    jacobians = {name: [specialize_jacobian(pres, psi) for pres, psi in cases]
+                 for name, cases in groups.items()}
+    jacobians["shrinking"] = []
     for jac in _shrinking_jacobians():
-        if len(shrinking) == 12:
+        if len(jacobians["shrinking"]) == 12:
             break
         if _running_gcd(monkeypatch, jac)[2] >= 2:
-            shrinking.append(jac)
-    shrunk_twice = 0
-    for jac in jacobians + shrinking:
-        delta, cofactors, calls = _running_gcd(monkeypatch, jac)
-        if torsion_mod.rank(jac.entries) == 0:
-            assert (delta, cofactors) == (LaurentPoly.one(), None)
-            continue
-        minors = [d for d in _minors(jac) if d]
-        assert delta == functools.reduce(gcd, minors, LaurentPoly.zero())
-        assert cofactors == [laurent_mod.exact_div(d, delta) for d in minors]
-        shrunk_twice += jac.num_relators > 1 and calls >= 2
-    assert len(jacobians) > 400 and shrunk_twice >= 16
+            jacobians["shrinking"].append(jac)
+    shrunk_twice = nonunit_seeds = 0
+    seeded = dict.fromkeys(jacobians, 0)
+    for name, jacs in jacobians.items():
+        for jac in jacs:
+            delta, cofactors, calls, seeds = _running_gcd(monkeypatch, jac)
+            r = torsion_mod.rank(jac.entries)
+            if r == 0:
+                assert (delta, cofactors) == (LaurentPoly.one(), None)
+                continue
+            minors = [d for d in _minors(jac) if d]
+            assert delta == functools.reduce(gcd, minors, LaurentPoly.zero())
+            assert cofactors == [laurent_mod.exact_div(d, delta) for d in minors]
+            fox = r == jac.num_relators == jac.num_generators - 1 and math.gcd(*jac.psi) == 1
+            assert seeds == fox and not (fox and calls), (name, jac)
+            seeded[name] += fox
+            nonunit_seeds += fox and not delta.is_unit()
+            shrunk_twice += jac.num_relators > 1 and calls >= 2
+    assert len(jacobians["differential"]) > 400 and shrunk_twice >= 16
+    assert seeded == {"differential": 20, "random deficiency one": 260, "corpus": 8,
+                      "composite": len(COMPOSITES), "shrinking": 0} and nonunit_seeds >= 150
 
 
 def test_one_row_certificate_skips_the_checks_that_cannot_fire(monkeypatch):
@@ -399,6 +467,68 @@ def test_genus_two_scan_runs_at_most_one_gcd_per_map(monkeypatch):
     reports = scan(entry.presentation(), 2, certify_only=True)
     assert len(reports) == 272 and {r.delta for r in reports} == {lp(-1, 1)}
     assert len(calls) <= len(reports)
+
+
+@pytest.mark.parametrize("text, psi", [
+    ("gens: x, y\nrel: x^32 y^-35\n", (35, 32)), (SWELL, SWELL_PSI),
+    ("gens: x, y, u, v\nrel: x^2 y^-3\nrel: u^2 v^-5\nrel: x Y v U\n", (9, 6, 5, 2)),
+], ids=["T(32,35)", "swell", "composite"])
+def test_seeded_certify_only_runs_no_gcd(monkeypatch, text, psi):
+    calls = []
+    for module in (torsion_mod, laurent_mod):
+        monkeypatch.setattr(module, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    rep = annulus_certify(parse_presentation(text), psi, certify_only=True)
+    assert rep.verdict == "pass" and calls == []
+
+
+def test_jacobians_that_break_fox_formula_are_refused_or_proved():
+    """One entry of a deficiency-one Jacobian plus +-t^k: Fox's formula
+    breaks, and the certificate raises or still returns the GCD of the minors."""
+    rng = random.Random(23)
+    outcomes = {"raised": 0, "proved": 0}
+    for pres, psi in _deficiency_one_draws(24, 120):
+        jac = specialize_jacobian(pres, psi)
+        rows = [list(row) for row in jac.entries]
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[i][j] += LaurentPoly.term(rng.choice((1, -1)), rng.randint(-3, 3))
+        jac = jac._replace(entries=tuple(map(tuple, rows)), complexity=jac.complexity + 1)
+        try:
+            delta = torsion_polynomial(jac)
+        except laurent_mod.InvariantViolation:
+            outcomes["raised"] += 1
+            continue
+        assert delta == functools.reduce(gcd, [d for d in _minors(jac) if d], LaurentPoly.zero())
+        outcomes["proved"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+# Two hand-built Jacobians that break Fox's formula: the seed's division by
+# 1 + t (the column left out has psi 2) is inexact, and the first nonzero
+# minor leaves out a column of psi 0.
+_FOX_BROKEN = """
+import sys
+import torsionpoly.torsion as T
+from torsionpoly.laurent import InvariantViolation, LaurentPoly
+
+t, one = LaurentPoly.t(), LaurentPoly.one()
+for entries, psi in [(((t * t + one, -one),), (3, 2)), (((t - one, t),), (1, 0))]:
+    try:
+        print("returned", T.torsion_polynomial(T.SpecializedJacobian(entries, psi, 3, 2)))
+    except InvariantViolation as exc:
+        print(f"optimize={sys.flags.optimize} psi {psi}: {exc}")
+"""
+
+
+def test_fox_formula_check_survives_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _FOX_BROKEN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize=1 psi (3, 2): a minor breaks Fox's fundamental formula",
+        "optimize=1 psi (1, 0): a minor breaks Fox's fundamental formula",
+    ]
 
 
 # -- the float filter, the exact verdict and the theorem behind it ----------
@@ -524,6 +654,9 @@ def test_cli_torsion_and_scan_agree_on_root_failure(monkeypatch, tmp_path, capsy
 
 # -- invariants survive python -O --------------------------------------------
 
+# On deficiency one with psi primitive the running GCD starts at the Fox seed
+# and never runs gcd, so the seed is faulted there and gcd on inputs of
+# deficiency two: SWELL and x^2 y^-3, each with a free generator added.
 _FAULTS = """
 import sys
 import torsionpoly.torsion as T
@@ -531,7 +664,7 @@ from torsionpoly.laurent import InvariantViolation, LaurentPoly
 from torsionpoly.presentation import parse_presentation
 
 T_PLUS_2 = LaurentPoly.t() + LaurentPoly.constant(2)
-real = {name: getattr(T, name) for name in ("determinant", "gcd", "rank")}
+real = {name: getattr(T, name) for name in ("determinant", "gcd", "rank", "_fox_seed")}
 seen = []
 
 def first_minor_times(rows):
@@ -543,6 +676,11 @@ faults = {
     "one minor times (t+2)": ("determinant", first_minor_times),
     "gcd times (t+2)": ("gcd", lambda a, b: real["gcd"](a, b) * T_PLUS_2),
     "gcd replaced by 1": ("gcd", lambda a, b: LaurentPoly.one()),
+    "seed times (t+2)": ("_fox_seed", lambda d, e: real["_fox_seed"](d, e) * T_PLUS_2),
+    "seed replaced by 1": ("_fox_seed", lambda d, e: LaurentPoly.one()),
+    "seed with psi_j = 0": ("_fox_seed", lambda d, e: real["_fox_seed"](d, 0)),
+    "seed divides by 1 + ... + t^|psi_j|": ("_fox_seed",
+                                            lambda d, e: real["_fox_seed"](d, abs(e) + 1)),
     "rank - 1": ("rank", lambda rows: real["rank"](rows) - 1),
     "rank + 1": ("rank", lambda rows: real["rank"](rows) + 1),
 }
@@ -550,26 +688,56 @@ text, psi = sys.argv[1], tuple(int(v) for v in sys.argv[2].split(","))
 jac = T.specialize_jacobian(parse_presentation(text), psi)
 if jac.num_relators == 1:  # each 1-minor is its entry: no determinant to fault
     del faults["one minor times (t+2)"]
-print("unfaulted degree", T.torsion_polynomial(jac).span())
+unused = "gcd" if jac.num_generators - jac.num_relators == 1 else "_fox_seed"
+faults = {label: fault for label, fault in faults.items() if fault[0] != unused}
+unfaulted = T.torsion_polynomial(jac)
+print("unfaulted degree", unfaulted.span())
 for label, (name, wrong) in faults.items():
     setattr(T, name, wrong)
     try:
-        T.torsion_polynomial(jac)
-        print(f"{label}: not caught")
+        delta = T.torsion_polynomial(jac)
+        print(f"{label}: " + ("the unfaulted Delta" if delta == unfaulted else "not caught"))
     except InvariantViolation as exc:
         print(f"optimize={sys.flags.optimize} {label}: {exc}")
     setattr(T, name, real[name])
 """
 
 
+def _run_faults(env, text, psi):
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS, text, ",".join(map(str, psi))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_invariant_violation_survives_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(torsionpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    psi = ",".join(str(v) for v in SWELL_PSI)
-    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS, SWELL, psi], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    fox_lines = [
+        "optimize=1 seed replaced by 1: the minors share a factor beyond the minor GCD",
+        "optimize=1 seed with psi_j = 0: a minor breaks Fox's fundamental formula",
+        "optimize=1 seed divides by 1 + ... + t^|psi_j|: a minor breaks Fox's fundamental formula",
+    ]
+    # deficiency one: the seed too large is repaired by gcd, the wrong ones raise
+    assert _run_faults(env, SWELL, SWELL_PSI) == [
+        "unfaulted degree 46",
+        "optimize=1 one minor times (t+2): a minor disagrees with its determinant mod p",
+        "seed times (t+2): the unfaulted Delta",
+        *fox_lines,
+        "optimize=1 rank - 1: the rank is below the rank at a point mod p",
+        "optimize=1 rank + 1: every minor of size 3 vanishes",
+    ]
+    # one relator: the minors are the entries, so no determinant is faulted
+    assert _run_faults(env, "gens: x, y\nrel: x^2 y^-3\n", (3, 2)) == [
+        "unfaulted degree 2",
+        "seed times (t+2): the unfaulted Delta",
+        *fox_lines,
+        "optimize=1 rank - 1: the rank is below the rank at a point mod p",
+        "optimize=1 rank + 1: every minor of size 2 vanishes",
+    ]
+    # deficiency two: no seed, and gcd runs where the running GCD shrinks
+    assert _run_faults(env, SWELL.replace("gens: x, y, z", "gens: x, y, z, w"),
+                       (*SWELL_PSI, 1)) == [
         "unfaulted degree 46",
         "optimize=1 one minor times (t+2): a minor disagrees with its determinant mod p",
         "optimize=1 gcd times (t+2): the minor GCD does not divide every minor",
@@ -577,11 +745,7 @@ def test_invariant_violation_survives_optimize():
         "optimize=1 rank - 1: the rank is below the rank at a point mod p",
         "optimize=1 rank + 1: every minor of size 3 vanishes",
     ]
-    # one relator: the minors are the entries, and gcd runs once, on the second
-    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS, "gens: x, y\nrel: x^2 y^-3\n",
-                           "3,2"], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert _run_faults(env, "gens: x, y, z\nrel: x^2 y^-3\n", (3, 2, 1)) == [
         "unfaulted degree 2",
         "optimize=1 gcd times (t+2): the minor GCD does not divide every minor",
         "optimize=1 gcd replaced by 1: the minors share a factor beyond the minor GCD",
@@ -596,15 +760,19 @@ def test_invariant_violation_survives_optimize():
         " (packed)",
         "optimize=1 numerator plus 1 rank: an inexact division in Bareiss elimination (packed)",
         "optimize=1 rank - 1 on x^21 y^-22: the rank is below the rank at a point mod p",
-        "optimize=1 gcd times (t+2) on T(21,22): the minor GCD does not divide every minor"
-        " (packed)",
+        "optimize=1 seed divides by 1 + ... + t^|psi_j| on T(21,22): a minor breaks Fox's"
+        " fundamental formula (packed)",
+        "optimize=1 gcd times (t+2) on T(21,22) with z free: the minor GCD does not divide"
+        " every minor (packed)",
     ]
 
 
-# The same faults where the divisor is past the packed crossover: a Bareiss
-# pivot of 41 terms, and the degree-420 Delta of T(21,22) times (t+2).  The
-# division that rejects must be the packed one, with no sparse fallback.  A
-# rank one too low on T(21,22) is 0, which the check mod p must catch too.
+# The same faults where the division is past the packed crossover: a Bareiss
+# pivot of 41 terms, the degree-440 first minor of T(21,22) over a seed
+# divisor of 22 terms, and the degree-420 Delta of T(21,22) with a free z
+# times (t+2).  The division that rejects must be the packed one, with no
+# sparse fallback.  A rank one too low on T(21,22) is 0, which the check mod
+# p must catch too.
 _PACKED_FAULTS = """
 import sys
 import torsionpoly.laurent as L
@@ -650,9 +818,16 @@ T.rank = lambda rows: real_rank(rows) - 1  # one relator: rank 0, caught before 
 report("rank - 1 on x^21 y^-22", lambda: T.torsion_polynomial(jac))
 T.rank = real_rank
 
+real_seed = T._fox_seed
+T._fox_seed = lambda d, e: real_seed(d, abs(e) + 1)
+report("seed divides by 1 + ... + t^|psi_j| on T(21,22)", lambda: T.torsion_polynomial(jac))
+T._fox_seed = real_seed
+
+jac = T.specialize_jacobian(parse_presentation("gens: x, y, z\\nrel: x^21 y^-22\\n"),
+                            (22, 21, 1))
 real_gcd = T.gcd
 T.gcd = lambda a, b: real_gcd(a, b) * (t + LaurentPoly.constant(2))
-report("gcd times (t+2) on T(21,22)", lambda: T.torsion_polynomial(jac))
+report("gcd times (t+2) on T(21,22) with z free", lambda: T.torsion_polynomial(jac))
 """
 
 
