@@ -614,21 +614,28 @@ def _squarefree_factors(q: list[int]) -> list[tuple[list[int], int]]:
 
 
 @functools.lru_cache(maxsize=16)
-def _phi_at_most(bound: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (n, phi(n)) with Euler's phi(n) <= bound, by ascending n,
-    built prime by prime from phi(prod p^a) = prod p^(a-1) (p - 1)."""
-    primes = [p for p in range(2, bound + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    out = [(1, 1)]
-    def extend(start, n, phi):
+def _phi_at_most(bound: int) -> tuple[tuple, ...]:
+    """The triples (n, phi(n), up) with Euler's phi(n) <= bound, by ascending
+    n, built from phi(prod p^a) = prod p^(a-1) (p - 1) over sieved primes;
+    ``up`` the triple of n/p, p the largest prime of n."""
+    sieve = bytearray([1]) * (bound + 2)
+    for p in range(2, math.isqrt(bound + 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    primes = [p for p in range(2, bound + 2) if sieve[p]]
+    out = [(1, 1, None)]
+    def extend(start, up):
         for j in range(start, len(primes)):
-            n_p, f = n * primes[j], phi * (primes[j] - 1)
+            p, f = primes[j], up[1] * (primes[j] - 1)
             if f > bound:
                 return
+            entry = up
             while f <= bound:
-                out.append((n_p, f))
-                extend(j + 1, n_p, f)
-                n_p, f = n_p * primes[j], f * primes[j]
-    extend(0, 1, 1)
+                entry = (entry[0] * p, f, entry)
+                out.append(entry)
+                extend(j + 1, entry)
+                f *= p
+    extend(0, out[0])
     return tuple(sorted(out))
 
 
@@ -650,41 +657,65 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-def _may_vanish_at_unit_root(q: list[int], norm: int, n: int) -> bool:
-    """False only if q(e^(2 pi i/n)) != 0, given norm = ||q||_1.
+@functools.lru_cache(maxsize=512)
+def _cyclotomic_at_2(entry: tuple) -> int:
+    """Phi_n(2) = Phi_r(2^(n/r)) for an entry of :func:`_phi_at_most`, r the
+    product of the primes of n, by Phi_(m p)(x) = Phi_m(x^p) / Phi_m(x)."""
+    ps, (n, _, up) = [], entry
+    while up:  # n's primes, descending
+        p = entry[0] // up[0]
+        if p not in ps:
+            ps.append(p)
+        entry, up = up, up[2]
+    def at(i, e):  # Phi_(prod ps[i:])(2^e)
+        if i == len(ps):
+            return (1 << e) - 1
+        if ps[i] == 2:
+            return (1 << e) + 1
+        return at(i + 1, e * ps[i]) // at(i + 1, e)
+    return at(0, n // math.prod(ps))
 
-    Past degree 4n, q is first folded exactly modulo t^n - 1, which keeps its
-    value at e^(2 pi i/n) and does not raise ||q||_1.  Were that value zero,
-    Horner's rule in doubles at the rounded point (within 16 u of it,
-    u = 2^-53, given a libm cos and sin good to an ulp) would return at most
-    about 22 d u ||q||_1 for degree d; the bound below is 5 times that."""
-    if norm.bit_length() > 1000:
-        return True
-    if 4 * n <= len(q):
-        q = [sum(q[j::n]) for j in range(n)]
-    z, v = cmath.rect(1.0, 2 * math.pi / n), 0j
-    for c in reversed(q):
-        v = v * z + c
-    return abs(v) <= 2.0**-46 * len(q) * norm
+
+def _value_at_2(q: list[int]) -> int:
+    """(q / (t - 2)^k)(2) = q^(k)(2) / k! for q != 0, k the multiplicity of 2."""
+    k = 0
+    while True:
+        v = 0
+        for c in reversed(q):
+            v += v + c
+        if v or not q:
+            return v // math.factorial(k)
+        q, k = [i * c for i, c in enumerate(q)][1:], k + 1
+
+
+def _may_divide(rest: list[int], v: int, n: int, at_2: int) -> bool:
+    """False only if Phi_n (monic) does not divide ``rest``: else at_2 =
+    Phi_n(2) divides v = _value_at_2(rest).  n <= 2 test rest(+-1)."""
+    if n > 2:
+        return not v % at_2
+    return sum(rest[::2]) == (-1) ** n * sum(rest[1::2])
 
 
 def _cyclotomic_split(q: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
     """Pairs (n, m) and ``rest`` with q == prod Phi_n^m * rest, no Phi_n
-    dividing ``rest``.  Each n with phi(n) <= deg q that the test in doubles
+    dividing ``rest``.  Each n with phi(n) <= deg q that :func:`_may_divide`
     cannot rule out is divided exactly (:func:`_exact_quotient`); only an
     exact quotient strips Phi_n."""
-    found, rest = [], q
-    norm = sum(map(abs, rest))
-    for n, phi in _phi_at_most(1 << (len(q) - 1).bit_length()):  # a power of two: few tables
-        m = 0
-        while phi < len(rest) and _may_vanish_at_unit_root(rest, norm, n):
+    found, rest, v = [], q, _value_at_2(q)
+    for entry in _phi_at_most(1 << (len(q) - 1).bit_length()):  # a power of two: few tables
+        n, phi, _ = entry
+        if phi >= len(rest):
+            continue
+        at_2, m = _cyclotomic_at_2(entry), 0
+        while phi < len(rest) and _may_divide(rest, v, n, at_2):
             quo = _exact_quotient(rest, _cyclotomic(n))
             if quo is None:
                 break
-            rest, m = quo, m + 1
-            norm = sum(map(abs, rest))
+            rest, v, m = quo, v // at_2, m + 1
         if m:
             found.append((n, m))
+    if v != _value_at_2(rest):
+        raise InvariantViolation("the cyclotomic split lost track of rest at 2")
     return found, rest
 
 
@@ -1159,11 +1190,9 @@ def complex_roots(p: LaurentPoly, tol: float, seed: int = 0) -> list[tuple[compl
     certificate run once per conjugate pair, whose lower root is reported
     as the conjugate of the certified upper one (:func:`_located_roots`).
 
-    The cyclotomic split dominates on torus knots, through its tests in
-    doubles (T(140,141), degree 19,460: about 8.5 s, 0.2 s of it for the
-    exact quotients), and the O(d^2) Aberth sweeps on the rest (a generic
-    degree-400 polynomial: about 0.8 s), against at most 0.03 s for the
-    exact verdict (Python 3.11, one core of a shared 2-vCPU host).
+    The exact split takes 0.5 s on T(140,141) (degree 19,460), the O(d^2)
+    Aberth sweeps 0.4 s on a generic degree-400 rest, the exact verdict at
+    most 0.03 s (Python 3.11, one core of a 2-vCPU host).
 
     On a float overflow, non-convergence or a failed certificate, ``rest``
     (of degree d) goes through again in a private mpmath context at

@@ -203,8 +203,11 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
                 raise InvariantViolation("a minor disagrees with its determinant mod p")
             if not d:
                 continue
-            delta = delta or (_fox_seed(d, jac.psi[sum(range(r + 1)) - sum(ci)]) if fox
-                              else normalize(d))
+            if fox and not delta:
+                delta, cofactor = _fox_seed(d, jac.psi[sum(range(r + 1)) - sum(ci)])
+                cofactors.append(cofactor)
+                continue
+            delta = delta or normalize(d)
             try:
                 cofactors.append(exact_div(d, delta))
             except ArithmeticError:  # delta loses the factors that d lacks
@@ -222,12 +225,15 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     return delta
 
 
-def _fox_seed(d: LaurentPoly, e: int) -> LaurentPoly:
-    """The GCD Fox's formula gives from the minor d without a column of psi e."""
+def _fox_seed(d: LaurentPoly, e: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The GCD Fox's formula gives from the minor d without a column of psi e,
+    and d's cofactor, a unit times 1 + ... + t^(|e|-1)."""
     try:
-        return normalize(exact_div(d, _poly([1] * abs(e))))
+        s = exact_div(d, _poly([1] * abs(e)))
     except ArithmeticError:  # ZeroDivisionError too, at e = 0
         raise InvariantViolation("a minor breaks Fox's fundamental formula") from None
+    delta = normalize(s)
+    return delta, _poly([s.ints[0] // delta.ints[0]] * abs(e), 1, s.lo)
 
 
 class AnnulusReport(NamedTuple):

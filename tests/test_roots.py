@@ -336,27 +336,108 @@ def test_salem_factors_stay_in_rest():
 
 
 def test_exact_division_alone_decides_the_split(monkeypatch):
-    # with the test in doubles accepting every n, only zero remainders strip
+    # with the filter accepting every n, only zero remainders strip; the last
+    # case vanishes at 2, through the stevedore knot's 2t^2 - 5t + 2
     cases = [lp(*LEHMER) * (T**12 - ONE), (T**30 - ONE) * (T - ONE) ** 2 * lp(5, 1, 0, 1),
-             lp(1, -3, 1) * lp(-2, 0, 1), T**7 - ONE]
+             lp(1, -3, 1) * lp(-2, 0, 1), T**7 - ONE, lp(2, -5, 2) * (T**15 - ONE) * (T + ONE)]
     expected = [(laurent_mod._cyclotomic_split(ints(p)), complex_roots(p, TOL)) for p in cases]
-    monkeypatch.setattr(laurent_mod, "_may_vanish_at_unit_root", lambda q, norm, n: True)
+    monkeypatch.setattr(laurent_mod, "_may_divide", lambda rest, v, n, at_2: True)
     for p, (split, roots) in zip(cases, expected):
         assert laurent_mod._cyclotomic_split(ints(p)) == split
         assert complex_roots(p, TOL) == roots
 
 
-def test_folded_unit_root_test_agrees_with_exact_division():
-    # at degree 300 every n <= 75 folds q modulo t^n - 1 before Horner's rule;
-    # the test must still accept each planted Phi_n and reject every other n
+def phi_table(bound):
+    return {entry[0]: entry for entry in laurent_mod._phi_at_most(bound)}
+
+
+def test_phi_at_2_filter_agrees_with_exact_division():
+    # at degree 300 the filter accepts each planted Phi_n, n <= 75, and rules
+    # out every n whose division fails but n = 3, where 7 = Phi_3(2) happens
+    # to divide r(2); the split's exact division rejects that n
     rng = random.Random(11)
     r = [1] + [rng.randint(-3, 3) for _ in range(299)] + [1]
+    table, by_chance = phi_table(512), []
     for n in range(1, 76):
-        q = laurent_mod._convolve(r, laurent_mod._cyclotomic(n))
+        phi_n = list(laurent_mod._cyclotomic(n))
+        at_2 = laurent_mod._cyclotomic_at_2(table[n])
+        q = laurent_mod._convolve(r, phi_n)
         for f in (q, r):
-            divides = not laurent_mod._pdivmod(f, list(laurent_mod._cyclotomic(n)))[2]
-            assert 4 * n <= len(f) and divides == (f is q), n
-            assert laurent_mod._may_vanish_at_unit_root(f, sum(map(abs, f)), n) == divides, n
+            divides = not laurent_mod._pdivmod(f, phi_n)[2]
+            assert divides == (f is q), n
+            accepted = laurent_mod._may_divide(f, laurent_mod._value_at_2(f), n, at_2)
+            assert accepted or not divides, n
+            if accepted and not divides:
+                by_chance.append(n)
+        assert laurent_mod._cyclotomic_split(q) == ([(n, 1)], r), n
+    assert by_chance == [3] and laurent_mod._value_at_2(r) % 7 == 0
+
+
+def test_cyclotomic_values_at_2_match_sympy():
+    x = sympy.Symbol("x")
+    table = phi_table(512)
+    for n in range(1, 301):
+        assert laurent_mod._cyclotomic_at_2(table[n]) == sympy.cyclotomic_poly(n, x).subs(x, 2), n
+
+
+def divisions_in_split(monkeypatch, q):
+    """The (num, n) of each exact division the split of q runs."""
+    by_den = {laurent_mod._cyclotomic(n): n for n, phi, _ in laurent_mod._phi_at_most(len(q))
+              if phi < len(q)}
+    seen, real = [], laurent_mod._exact_quotient
+    with monkeypatch.context() as m:
+        m.setattr(laurent_mod, "_exact_quotient",
+                  lambda num, den: seen.append((list(num), by_den[tuple(den)])) or real(num, den))
+        laurent_mod._cyclotomic_split(q)
+    return seen
+
+
+def value_at_2_off_root_2(q):
+    """q(2) once the factors t - 2 of q are divided out."""
+    while not sum(c << i for i, c in enumerate(q)):
+        q = laurent_mod._pdivmod(q, [-2, 1])[1]
+    return sum(c << i for i, c in enumerate(q))
+
+
+def test_exact_quotient_runs_only_where_the_filter_accepts(monkeypatch):
+    # every division the split runs is one that Phi_n(2) | rest(2), rest(1) = 0
+    # or rest(-1) = 0 allows, each checked here from the dividend itself, and
+    # at most one division fails per Phi_n stripped; with (2t^2 - 5t + 2)^2,
+    # rest(2) = 0, so the filter reads rest / (t - 2)^2 at 2
+    rng = random.Random(5)
+    cases = [ints(lp(*LEHMER) * lp(*laurent_mod._cyclotomic(12)) ** 2 * (T**15 - ONE)),
+             ints(lp(2, -5, 2) ** 2 * (T**30 - ONE) * lp(*LEHMER))]
+    for _ in range(12):
+        p = LaurentPoly.from_coeffs([rng.randint(-4, 4) or 1 for _ in range(rng.randint(2, 9))])
+        for n in rng.sample(range(1, 41), 3):
+            p = p * lp(*laurent_mod._cyclotomic(n)) ** rng.randint(1, 2)
+        cases.append(ints(laurent_mod.normalize(p)))
+    for q in cases:
+        seen = divisions_in_split(monkeypatch, q)
+        stripped = sum(m for _, m in laurent_mod._cyclotomic_split(q)[0])
+        assert 4 <= stripped <= len(seen) <= 2 * stripped
+        for num, n in seen:
+            if n > 2:
+                phi_2 = sum(c << i for i, c in enumerate(laurent_mod._cyclotomic(n)))
+                assert laurent_mod._value_at_2(num) == value_at_2_off_root_2(num)
+                assert value_at_2_off_root_2(num) % phi_2 == 0, n
+            else:
+                assert sum(c * (-1) ** (i * (n - 1)) for i, c in enumerate(num)) == 0, n
+
+
+def test_phi_1_and_phi_2_are_decided_exactly(monkeypatch):
+    # Phi_1(2) = 1 divides every rest(2), so n = 1 and n = 2 are decided by
+    # rest(1) and rest(-1): divided exactly when those vanish, never otherwise
+    stevedore = [2, -5, 2]  # vanishes at 2
+    for q, found in [(ints(lp(-1, 1) ** 3 * lp(1, -3, 1)), [(1, 3)]),
+                     (ints(lp(1, 1) ** 2 * lp(*stevedore)), [(2, 2)]),
+                     (ints(lp(-1, 1) * lp(1, 1) ** 3 * lp(*LEHMER)), [(1, 1), (2, 3)]),
+                     (stevedore, []), (LEHMER, []), ([1, -3, 1], [])]:
+        split = laurent_mod._cyclotomic_split(q)
+        assert split[0] == found and Counter(split[0]) == sympy_split(q)[0], q
+        divided = [n for _, n in divisions_in_split(monkeypatch, q)]
+        for n in (1, 2):
+            assert divided.count(n) == dict(found).get(n, 0), (q, n)
 
 
 def test_unit_roots_are_the_correctly_rounded_roots_of_unity():

@@ -672,12 +672,16 @@ def first_minor_times(rows):
     d = real["determinant"](rows)
     return d * T_PLUS_2 if len(seen) == 1 else d
 
+def seed_times(d, e):
+    delta, cofactor = real["_fox_seed"](d, e)
+    return delta * T_PLUS_2, cofactor
+
 faults = {
     "one minor times (t+2)": ("determinant", first_minor_times),
     "gcd times (t+2)": ("gcd", lambda a, b: real["gcd"](a, b) * T_PLUS_2),
     "gcd replaced by 1": ("gcd", lambda a, b: LaurentPoly.one()),
-    "seed times (t+2)": ("_fox_seed", lambda d, e: real["_fox_seed"](d, e) * T_PLUS_2),
-    "seed replaced by 1": ("_fox_seed", lambda d, e: LaurentPoly.one()),
+    "seed times (t+2)": ("_fox_seed", seed_times),
+    "seed replaced by 1": ("_fox_seed", lambda d, e: (LaurentPoly.one(), d)),
     "seed with psi_j = 0": ("_fox_seed", lambda d, e: real["_fox_seed"](d, 0)),
     "seed divides by 1 + ... + t^|psi_j|": ("_fox_seed",
                                             lambda d, e: real["_fox_seed"](d, abs(e) + 1)),
@@ -764,6 +768,8 @@ def test_invariant_violation_survives_optimize():
         " fundamental formula (packed)",
         "optimize=1 gcd times (t+2) on T(21,22) with z free: the minor GCD does not divide"
         " every minor (packed)",
+        "optimize=1 split quotient plus 1 on T(21,22): the cyclotomic split lost track of"
+        " rest at 2 (packed)",
     ]
 
 
@@ -772,7 +778,9 @@ def test_invariant_violation_survives_optimize():
 # divisor of 22 terms, and the degree-420 Delta of T(21,22) with a free z
 # times (t+2).  The division that rejects must be the packed one, with no
 # sparse fallback.  A rank one too low on T(21,22) is 0, which the check mod
-# p must catch too.
+# p must catch too.  Last, the cyclotomic split of that Delta gets quotients
+# one off in their constant term: the packed divisions reject the wrong rest
+# that follows, and the check on the value at 2 the split tracks raises.
 _PACKED_FAULTS = """
 import sys
 import torsionpoly.laurent as L
@@ -828,6 +836,12 @@ jac = T.specialize_jacobian(parse_presentation("gens: x, y, z\\nrel: x^21 y^-22\
 real_gcd = T.gcd
 T.gcd = lambda a, b: real_gcd(a, b) * (t + LaurentPoly.constant(2))
 report("gcd times (t+2) on T(21,22) with z free", lambda: T.torsion_polynomial(jac))
+T.gcd = real_gcd
+
+delta = T.torsion_polynomial(jac)
+L.complex_roots(delta, 1e-10)  # unfaulted: every Phi_n it divides by is cached
+L._exact_quotient = lambda num, den: (q := spy(num, den)) and [q[0] + 1, *q[1:]]
+report("split quotient plus 1 on T(21,22)", lambda: L.complex_roots(delta, 1e-10))
 """
 
 
