@@ -18,7 +18,10 @@ pseudo-division that visits only the divisor's nonzero coefficients, which
 also gives the remainders of the gcd, a primitive polynomial remainder
 sequence over Z.  :func:`determinant` and :func:`rank` run one
 Bareiss pass, except on one row: a 1x1 determinant is its entry and the
-rank of a single row is whether it has a nonzero entry.
+rank of a single row is whether it has a nonzero entry.  :class:`Minors`
+reads every minor of size the rank off one fraction-free Gauss-Jordan
+pass, by Cramer's rule and Sylvester's identity, and below full row rank
+off a second one, through the rank-one compound.
 :func:`roots_in_annulus` decides that every nonzero root lies in
 [1/c, c] in integers too, by the Schur-Cohn recursion and Cohn's theorem.
 
@@ -1234,36 +1237,43 @@ def _global_shift(rows):
 
 def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
     """Fraction-free Bareiss elimination on integer polynomials; returns
-    (pivots as integer lists, row-swap sign, lo, den, integer rows).
+    (pivots as integer lists, row-swap sign, pivot rows, pivot columns, lo,
+    row denominators, integer rows).
 
     Each row is read once as integer polynomials from the global exponent
     lo, which clears negative exponents, over its common denominator d_i;
-    so det(A) = det(integer rows) / den * t^(lo * n), den the product of
-    the d_i.  Each division by the previous pivot is then exact in Z[t]
-    (Bareiss 1968), else :class:`InvariantViolation`.  A column with no
-    pivot is skipped, or ends the pass if ``stop_at_missing_pivot``.  With
-    ``reduce_above`` the rows above each pivot are reduced too (Gauss-Jordan),
-    so past the pivot columns every row ends over the last pivot.
+    so det(A) = sign * (last pivot) / (product of the d_i) * t^(lo * n).
+    The pivot rows are the original indices of the rows swapped to the top.
+    Each division by the previous pivot is exact in Z[t] (Bareiss 1968),
+    else :class:`InvariantViolation`.  A column with no pivot is skipped, or
+    ends the pass if ``stop_at_missing_pivot``.  With ``reduce_above`` the
+    rows above each pivot are reduced too (Gauss-Jordan), in every non-pivot
+    column, so each pivot row ends as the last pivot times its row of
+    A_{R,P}^-1 A_{R,:}, for R and P the pivot rows and columns.
     """
     lo = _global_shift(rows)
     m, dens = map(list, zip(*(_row_ints(row, lo) for row in rows)))
     nrows, ncols = len(m), len(m[0])
-    pivots, sign, prev = [], 1, [1]
+    pivots, sign, order, cols, skipped, prev = [], 1, list(range(nrows)), [], [], [1]
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             if stop_at_missing_pivot:
                 break
+            if reduce_above:  # rows above keep it reduced; the rest stay 0 there
+                skipped.append(c)
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            order[r], order[piv] = order[piv], order[r]
             sign = -sign
         top = m[r]
+        targets = (*skipped, *range(c + 1, ncols)) if skipped else range(c + 1, ncols)
         for row in m[:r] + m[r + 1:] if reduce_above else m[r + 1:]:
             if not row[c] and top[c] == prev:  # the step leaves this row as it is
                 continue
-            for j in range(c + 1, ncols):
+            for j in targets:
                 x = _sub_mul(top[c], row[j], row[c], top[j])
                 if r:  # the first step divides by the initial pivot 1
                     x = _exact_quotient(x, prev)
@@ -1273,9 +1283,15 @@ def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
             row[c] = []
         prev = top[c]
         pivots.append(prev)
+        cols.append(c)
         if len(pivots) == nrows:
             break
-    return pivots, sign, lo, math.prod(dens), m
+    return pivots, sign, order[:len(pivots)], cols, lo, dens, m
+
+
+def _parity(seq) -> int:
+    """(-1)^(number of inversions of seq)."""
+    return -1 if sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) % 2 else 1
 
 
 def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -1290,10 +1306,11 @@ def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         return LaurentPoly.one()
     if n == 1:
         return rows[0][0]
-    pivots, sign, lo, den, _ = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=False)
+    pivots, sign, _, _, lo, dens, _ = _bareiss(rows, stop_at_missing_pivot=True,
+                                               reduce_above=False)
     if len(pivots) < n:
         return LaurentPoly.zero()
-    return _poly(pivots[-1] if sign > 0 else [-c for c in pivots[-1]], den, lo * n)
+    return _poly(pivots[-1] if sign > 0 else [-c for c in pivots[-1]], math.prod(dens), lo * n)
 
 
 def solve_scaled(rows) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
@@ -1303,7 +1320,7 @@ def solve_scaled(rows) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
     n = len(rows)
     if n == 0 or any(len(row) < n for row in rows):
         raise ValueError("solve_scaled requires rows [A | B] with A square")
-    pivots, _, _, _, m = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=True)
+    pivots, _, _, _, _, _, m = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=True)
     if len(pivots) < n:
         raise ZeroDivisionError("solve_scaled requires a nonsingular matrix")
     return _poly(pivots[-1]), [[_poly(x) for x in row[n:]] for row in m]
@@ -1317,6 +1334,100 @@ def rank(rows: list[list[LaurentPoly]]) -> int:
     if len(rows) == 1:
         return 1 if any(rows[0]) else 0
     return len(_bareiss(rows, stop_at_missing_pivot=False, reduce_above=False)[0])
+
+
+class _PivotRows:
+    """One fraction-free Gauss-Jordan pass over a matrix A: its pivot rows R
+    (ascending), its pivot columns P, and :meth:`minor`, det A_{R,J} for any
+    |P| columns J, read off the reduced rows Y = d A_{R,P}^-1 A_{R,:}, d the
+    last pivot.
+
+    Y_{:,P} = d I and det Y_{:,J} = d^(r-1) det A_{R,J} (in the pass's row
+    order and integer form).  Expanded along the pivot columns J keeps, that
+    leaves the block of Y on the rows whose pivot columns J trades and on
+    the k columns of J outside P: det A_{R,J} is +-Y_ij when k = 1 (Cramer's
+    rule), else +-det(block) / d^(k-1) (Sylvester's identity), a division
+    that must be exact, else :class:`InvariantViolation`.
+    """
+
+    def __init__(self, rows):
+        pivots, sign, order, cols, self._lo, dens, self._y = _bareiss(
+            rows, stop_at_missing_pivot=False, reduce_above=True)
+        self.rows, self.cols = tuple(sorted(order)), tuple(cols)
+        self._d = pivots[-1] if pivots else [1]
+        self._sign = sign if len(order) == len(rows) else _parity(order)
+        self._den = math.prod(dens[i] for i in order)
+        self._pos = {c: i for i, c in enumerate(cols)}
+        self._minors = {}
+
+    def minor(self, cols: tuple[int, ...]) -> LaurentPoly:
+        if cols in self._minors:
+            return self._minors[cols]
+        pos = self._pos
+        kept = [(t, pos[j]) for t, j in enumerate(cols) if j in pos]
+        sign = self._sign * (-1) ** sum(t + i for t, i in kept)
+        traded = [i for i, c in enumerate(self.cols) if c not in cols]
+        new = [j for j in cols if j not in pos]
+        den, lo = self._den, self._lo * len(self.cols)
+        if not new:
+            num = self._d
+        elif len(new) == 1:
+            num = self._y[traded[0]][new[0]]
+        else:
+            block = determinant([[_poly(self._y[i][j]) for j in new] for i in traded])
+            try:
+                q = exact_div(block, _poly(self._d) ** (len(new) - 1))
+            except ArithmeticError:
+                raise InvariantViolation("an inexact division in Sylvester's identity") from None
+            num, den, lo = q.ints, den * q.den, lo + q.lo
+        self._minors[cols] = _poly(num if sign > 0 else [-c for c in num], den, lo)
+        return self._minors[cols]
+
+
+class Minors:
+    """The minors of size r, the rank, of a matrix A over Q[t, t^-1], from
+    fraction-free Gauss-Jordan passes (Bareiss 1968) and no determinant per
+    minor.
+
+    A 1-minor is its entry, and a single row needs no pass.  Else one pass
+    on A gives r, the pivot rows R, the pivot columns P and every
+    det A_{R,J} (:class:`_PivotRows`).  When r is below the number of rows,
+    a second pass on A_{:,P}^T, run at the first minor that needs it, gives
+    every det A_{I,P}; the r-th compound of A has rank one, so
+    det A_{I,J} = det A_{I,P} det A_{R,J} / det A_{R,P}, an exact division,
+    else :class:`InvariantViolation`.  A minor of size above r is 0.
+    """
+
+    def __init__(self, rows):
+        self._rows, self._by_rows = rows, None
+        self._by_cols = _PivotRows(rows) if len(rows) > 1 and rows[0] else None
+        self._rank = self.rank = (len(self._by_cols.cols) if self._by_cols
+                                  else int(bool(rows) and any(rows[0])))
+
+    def minor(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> LaurentPoly:
+        """det A_{ri,ci}, for ascending index tuples of one size, at least r."""
+        if len(ci) != len(ri) or len(ri) < self._rank:
+            raise ValueError("only square minors of size at least the rank are read")
+        if len(ri) > self._rank:
+            return LaurentPoly.zero()
+        if len(ri) == 1:
+            return self._rows[ri[0]][ci[0]]
+        first = self._by_cols
+        v = first.minor(ci)
+        if ri == first.rows:
+            return v
+        if self._by_rows is None:
+            self._by_rows = _PivotRows(_transpose([[row[j] for j in first.cols]
+                                                   for row in self._rows]))
+            if len(self._by_rows.cols) != self._rank:
+                raise InvariantViolation("the pivot columns lost rank")
+        u = self._by_rows.minor(ri)
+        if ci == first.cols:
+            return u
+        try:
+            return exact_div(u * v, first.minor(first.cols))
+        except ArithmeticError:
+            raise InvariantViolation("an inexact division in the rank-one compound") from None
 
 
 def _transpose(m):

@@ -2,14 +2,16 @@
 
 Pipeline: specialize the Fox Jacobian of a presentation through the ring
 map sending a word w to t^(psi(w)), take the GCD of the r-rowed minors
-(r = rank, from a fraction-free Bareiss pass), and certify that every
-nonzero root of the result lies in the annulus [1/c, c] for
-c = 1 + m! * k^m.  The specialization walks each relator once with a
-running psi-weight, so no group-ring derivative is ever built.  The GCD is
-certified exactly; at one point mod a prime the rank is checked where it
-could be too low, and the minors that Bareiss computed (a 1-minor is its
-entry).  On deficiency one, psi primitive, it starts from one minor by Fox's
-formula sum_j J_ij (t^psi_j - 1) = 0, and the certificate still proves it.
+(r = rank; all of them read off one fraction-free Gauss-Jordan pass, or
+two below full row rank), and certify that every nonzero root of the
+result lies in the annulus [1/c, c] for c = 1 + m! * k^m.  The
+specialization walks each relator once with a running psi-weight, so no
+group-ring derivative is ever built.  The GCD is certified exactly; at one
+point mod a prime the rank is checked where it could be too low, and each
+derived minor against its submatrix's determinant (a 1-minor is its
+entry).  It starts from the minor with the fewest coefficients;
+on deficiency one, psi primitive, divided by the factor Fox's formula
+sum_j J_ij (t^psi_j - 1) = 0 puts in it, and the certificate still proves it.
 The annulus verdict follows exactly from the m!k^m bound on the minors;
 numeric roots are only reported, and checked against it.
 
@@ -29,16 +31,15 @@ from typing import NamedTuple
 from .laurent import (
     InvariantViolation,
     LaurentPoly,
+    Minors,
     RootFindingError,
     _poly,
     cauchy_root_radius,
     complex_roots,
     coprime,
-    determinant,
     exact_div,
     gcd,
     normalize,
-    rank,
     rank_det_mod_p,
     reciprocal,
     value_mod_p,
@@ -159,23 +160,27 @@ def _integer_poly(terms: dict[int, int]) -> LaurentPoly:
 
 
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
-    """Normalized GCD of the r-rowed minors, r the Bareiss :func:`rank`.
+    """Normalized GCD of the r-rowed minors, r the rank, all read off
+    :class:`Minors` (one Gauss-Jordan pass, and a second when r is below the
+    number of rows).
 
     Past :data:`MINOR_ENUMERATION_CAP` minors :class:`SizeBudgetExceeded`
-    is raised before any is computed.  At one point mod p the rank must not
-    exceed r (checked when r < min(rows, columns), else it cannot), and a
-    minor of size r >= 2 must equal its submatrix's determinant (a 1-minor
-    is its entry).  Each minor must be an integer polynomial within the
-    m!k^m norm bound (the proof of :func:`annulus_certify`).  The GCD is
-    proved exactly: it divides every minor and the cofactors are coprime.
-    It starts as the first nonzero minor D_j (column j left out), normalized,
-    and only a minor it does not divide runs :func:`gcd`.  If r = rows =
-    columns - 1 and psi is primitive, Fox's formula sum_j J_ij (t^psi_j - 1)
-    = 0 gives D_j (t^psi_i - 1) = +-D_i (t^psi_j - 1), so it starts at
+    is raised after the first pass, before any minor is derived.  At one
+    point mod p the rank must not exceed r (checked when r < min(rows,
+    columns), else it cannot), and a minor of size r >= 2 must equal its
+    submatrix's determinant, which checks its derivation (a 1-minor is its
+    entry).  Each minor must be an integer polynomial within the m!k^m norm
+    bound (the proof of :func:`annulus_certify`).  The GCD is proved
+    exactly: it divides every minor and the cofactors are coprime.  It starts as the nonzero minor D_j with the fewest
+    coefficients, normalized, and only a minor it does not divide runs
+    :func:`gcd`.  If r = rows = columns - 1 and psi is primitive, with j
+    the column D_j leaves out, Fox's formula sum_j J_ij (t^psi_j - 1) = 0
+    gives D_j (t^psi_i - 1) = +-D_i (t^psi_j - 1), so it starts at
     D_j / (1 + t + ... + t^(|psi_j|-1)); too large a start shrinks, too small
     leaves the cofactors a common factor.  :class:`InvariantViolation` is a bug.
     """
-    r = rank(jac.entries)
+    minors = Minors(jac.entries)
+    r = minors.rank
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
     if n_minors > MINOR_ENUMERATION_CAP:
         raise SizeBudgetExceeded(
@@ -188,12 +193,10 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     if r == 0:
         return LaurentPoly.one()
     coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
-    fox = r == jac.num_relators == jac.num_generators - 1 and math.gcd(*jac.psi) == 1
-    delta, cofactors = LaurentPoly.zero(), []
+    found = []
     for ri in itertools.combinations(range(jac.num_relators), r):
         for ci in itertools.combinations(range(jac.num_generators), r):
-            d = jac.entries[ri[0]][ci[0]] if r == 1 else determinant(
-                [[jac.entries[i][j] for j in ci] for i in ri])
+            d = minors.minor(ri, ci)
             if d.den != 1:
                 raise InvariantViolation("a minor has a non-integer coefficient")
             if sum(map(abs, d.ints)) > coeff_bound:
@@ -201,25 +204,31 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
             if r >= 2 and value_mod_p(d, _CHECK_POINT) != rank_det_mod_p(
                     [[at[i][j] for j in ci] for i in ri])[1]:
                 raise InvariantViolation("a minor disagrees with its determinant mod p")
-            if not d:
-                continue
-            if fox and not delta:
-                delta, cofactor = _fox_seed(d, jac.psi[sum(range(r + 1)) - sum(ci)])
-                cofactors.append(cofactor)
-                continue
-            delta = delta or normalize(d)
-            try:
-                cofactors.append(exact_div(d, delta))
-            except ArithmeticError:  # delta loses the factors that d lacks
-                shrunk = gcd(delta, d)
-                try:
-                    lost = exact_div(delta, shrunk)
-                    cofactors = [f * lost for f in cofactors] + [exact_div(d, shrunk)]
-                except ArithmeticError:
-                    raise InvariantViolation("the minor GCD does not divide every minor") from None
-                delta = shrunk
-    if not delta:
+            if d:
+                found.append((ci, d))
+    if not found:
         raise InvariantViolation(f"every minor of size {r} vanishes")
+    start = min(range(len(found)), key=lambda k: len(found[k][1].ints))
+    ci, d = found[start]
+    if r == jac.num_relators == jac.num_generators - 1 and math.gcd(*jac.psi) == 1:
+        delta, seed_cofactor = _fox_seed(d, jac.psi[sum(range(r + 1)) - sum(ci)])
+    else:
+        delta, seed_cofactor = normalize(d), None
+    cofactors = []
+    for k, (_, d) in enumerate(found):
+        if k == start and seed_cofactor is not None:
+            cofactors.append(seed_cofactor)
+            continue
+        try:
+            cofactors.append(exact_div(d, delta))
+        except ArithmeticError:  # delta loses the factors that d lacks
+            shrunk = gcd(delta, d)
+            try:
+                lost = exact_div(delta, shrunk)
+                cofactors = [f * lost for f in cofactors] + [exact_div(d, shrunk)]
+            except ArithmeticError:
+                raise InvariantViolation("the minor GCD does not divide every minor") from None
+            delta = shrunk
     if not coprime(cofactors):
         raise InvariantViolation("the minors share a factor beyond the minor GCD")
     return delta

@@ -10,7 +10,7 @@ import sympy
 from torsionpoly.freegroup import Word
 from torsionpoly.laurent import (
     InvariantViolation, LaurentPoly, RootFindingError, _starts, cauchy_root_radius, complex_roots,
-    reciprocal,
+    determinant, reciprocal,
 )
 from torsionpoly.presentation import (
     FinitePresentation, complexity_k, exponent_sum_matrix, root_bound,
@@ -119,6 +119,14 @@ def sympy_minor_gcd(jac):
     sign = 1 if cs[-1] > 0 else -1
     content = math.gcd(*cs)
     return [sign * c // content for c in cs]
+
+
+def minors_by_determinant(entries, r):
+    """Every r-minor of ``entries``, one determinant per submatrix, with
+    rows and columns in combinations order."""
+    return [determinant([[entries[i][j] for j in ci] for i in ri])
+            for ri in itertools.combinations(range(len(entries)), r)
+            for ci in itertools.combinations(range(len(entries[0])), r)]
 
 
 def norm_l1(alpha) -> Fraction:

@@ -16,8 +16,8 @@ import torsionpoly
 import torsionpoly.laurent as laurent_mod
 import torsionpoly.torsion as torsion_mod
 from helpers import (
-    SWELL, SWELL_PSI, random_presentation, random_word, root_bound_c, sympy_minor_gcd,
-    sympy_roots,
+    SWELL, SWELL_PSI, minors_by_determinant, random_presentation, random_word, root_bound_c,
+    sympy_minor_gcd, sympy_roots,
 )
 from torsionpoly.cli import main
 from torsionpoly.corpus import THREE_MANIFOLD_CORPUS
@@ -37,6 +37,7 @@ from torsionpoly.presentation import (
     enumerate_epimorphisms,
     exponent_sum_matrix,
     parse_presentation,
+    serialize_presentation,
     validate_epimorphism,
 )
 from torsionpoly.torsion import (
@@ -90,8 +91,11 @@ def test_specialized_entries_have_integer_coefficients():
 
 
 def test_minor_cap_refuses(monkeypatch, tmp_path, capsys):
-    computed = []
-    monkeypatch.setattr(torsion_mod, "determinant", lambda rows: computed.append(rows))
+    passes, computed = [], []
+    real_bareiss, real_minor = laurent_mod._bareiss, laurent_mod.Minors.minor
+    monkeypatch.setattr(laurent_mod, "_bareiss", lambda *a, **k: passes.append(1) or real_bareiss(*a, **k))
+    monkeypatch.setattr(laurent_mod.Minors, "minor",
+                        lambda self, ri, ci: computed.append(ri) or real_minor(self, ri, ci))
     monkeypatch.setattr(torsion_mod, "MINOR_ENUMERATION_CAP", 1)
     with pytest.raises(SizeBudgetExceeded, match="2 minors of size 1 exceed the cap of 1"):
         torsion_polynomial(specialize_jacobian(TREFOIL, (1, 1)))
@@ -99,7 +103,14 @@ def test_minor_cap_refuses(monkeypatch, tmp_path, capsys):
     f.write_text("gens: x, y\nrel: x y x Y X Y\n")
     assert main(["torsion", "--pres", str(f), "--psi", "1,1", "--certify-only"]) == 1
     assert capsys.readouterr().err.startswith("error: 2 minors of size 1 exceed the cap")
-    assert computed == []
+    # rank 2 on three rows: refused after the first pass, before the second
+    # pass on the transposed pivot columns and before any product
+    three_torus = next(e for e in THREE_MANIFOLD_CORPUS if e.name == "three-torus")
+    monkeypatch.setattr(torsion_mod, "MINOR_ENUMERATION_CAP", 8)
+    passes.clear()
+    with pytest.raises(SizeBudgetExceeded, match="9 minors of size 2 exceed the cap of 8"):
+        torsion_polynomial(specialize_jacobian(three_torus.presentation(), three_torus.psi))
+    assert passes == [1] and computed == []
 
 
 def test_specialize_rejects_invalid_psi():
@@ -322,10 +333,7 @@ def test_specialization_matches_group_ring_oracle():
 
 
 def _minors(jac):
-    r = torsion_mod.rank(jac.entries)
-    return [determinant([[jac.entries[i][j] for j in ci] for i in ri])
-            for ri in itertools.combinations(range(jac.num_relators), r)
-            for ci in itertools.combinations(range(jac.num_generators), r)]
+    return minors_by_determinant(jac.entries, laurent_mod.rank(jac.entries))
 
 
 def _shrinking_jacobians():
@@ -414,7 +422,7 @@ def test_running_gcd_matches_the_gcd_of_every_minor(monkeypatch):
                  for name, cases in groups.items()}
     jacobians["shrinking"] = []
     for jac in _shrinking_jacobians():
-        if len(jacobians["shrinking"]) == 12:
+        if len(jacobians["shrinking"]) == 16:
             break
         if _running_gcd(monkeypatch, jac)[2] >= 2:
             jacobians["shrinking"].append(jac)
@@ -423,7 +431,7 @@ def test_running_gcd_matches_the_gcd_of_every_minor(monkeypatch):
     for name, jacs in jacobians.items():
         for jac in jacs:
             delta, cofactors, calls, seeds = _running_gcd(monkeypatch, jac)
-            r = torsion_mod.rank(jac.entries)
+            r = laurent_mod.rank(jac.entries)
             if r == 0:
                 assert (delta, cofactors) == (LaurentPoly.one(), None)
                 continue
@@ -445,11 +453,18 @@ def test_one_row_certificate_skips_the_checks_that_cannot_fire(monkeypatch):
         raise AssertionError("a check mod p ran on a one-row Jacobian at r = 1")
 
     jac = specialize_jacobian(parse_presentation("gens: x, y\nrel: x^2 y^-3\n"), (3, 2))
-    for name in ("determinant", "value_mod_p", "rank_det_mod_p"):
+    for name in ("value_mod_p", "rank_det_mod_p"):
         monkeypatch.setattr(torsion_mod, name, refuse)
     assert torsion_polynomial(jac) == lp(1, -1, 1)
     monkeypatch.undo()
-    monkeypatch.setattr(torsion_mod, "rank", lambda rows: 0)
+    real = torsion_mod.Minors
+
+    def rank_zero(rows):
+        minors = real(rows)
+        minors.rank = 0
+        return minors
+
+    monkeypatch.setattr(torsion_mod, "Minors", rank_zero)
     with pytest.raises(laurent_mod.InvariantViolation, match="the rank is below the rank at a point mod p"):
         torsion_polynomial(jac)
 
@@ -466,7 +481,9 @@ def test_genus_two_scan_runs_at_most_one_gcd_per_map(monkeypatch):
     entry = next(e for e in THREE_MANIFOLD_CORPUS if e.name == "genus-two-surface-times-interval")
     reports = scan(entry.presentation(), 2, certify_only=True)
     assert len(reports) == 272 and {r.delta for r in reports} == {lp(-1, 1)}
-    assert len(calls) <= len(reports)
+    # the running GCD starts at the minor with the fewest coefficients, which
+    # divides every other minor here
+    assert calls == []
 
 
 @pytest.mark.parametrize("text, psi", [
@@ -503,15 +520,15 @@ def test_jacobians_that_break_fox_formula_are_refused_or_proved():
 
 
 # Two hand-built Jacobians that break Fox's formula: the seed's division by
-# 1 + t (the column left out has psi 2) is inexact, and the first nonzero
-# minor leaves out a column of psi 0.
+# 1 + t (the column left out has psi 2) is inexact, and the nonzero minor
+# with the fewest coefficients leaves out a column of psi 0.
 _FOX_BROKEN = """
 import sys
 import torsionpoly.torsion as T
 from torsionpoly.laurent import InvariantViolation, LaurentPoly
 
 t, one = LaurentPoly.t(), LaurentPoly.one()
-for entries, psi in [(((t * t + one, -one),), (3, 2)), (((t - one, t),), (1, 0))]:
+for entries, psi in [(((t * t + one, -one),), (3, 2)), (((t - one, t * t + one),), (1, 0))]:
     try:
         print("returned", T.torsion_polynomial(T.SpecializedJacobian(entries, psi, 3, 2)))
     except InvariantViolation as exc:
@@ -656,28 +673,51 @@ def test_cli_torsion_and_scan_agree_on_root_failure(monkeypatch, tmp_path, capsy
 
 # On deficiency one with psi primitive the running GCD starts at the Fox seed
 # and never runs gcd, so the seed is faulted there and gcd on inputs of
-# deficiency two: SWELL and x^2 y^-3, each with a free generator added.
+# deficiency two: SWELL and x^2 y^-3, each with a free generator added.  The
+# minors and the rank are faulted where torsion reads them, in Minors; a
+# derived minor is one of the rank-one compound, det A_{I,P} det A_{R,J} /
+# det A_{R,P} with I != R and J != P, so only below full row rank.
 _FAULTS = """
+import itertools
 import sys
 import torsionpoly.torsion as T
 from torsionpoly.laurent import InvariantViolation, LaurentPoly
 from torsionpoly.presentation import parse_presentation
 
 T_PLUS_2 = LaurentPoly.t() + LaurentPoly.constant(2)
-real = {name: getattr(T, name) for name in ("determinant", "gcd", "rank", "_fox_seed")}
-seen = []
+real = {name: getattr(T, name) for name in ("Minors", "gcd", "_fox_seed")}
 
-def first_minor_times(rows):
-    seen.append(rows)
-    d = real["determinant"](rows)
-    return d * T_PLUS_2 if len(seen) == 1 else d
+def first_minor_times(picked):
+    def wrong(rows):
+        minors, seen = real["Minors"](rows), []
+        read = minors.minor
+        def minor(ri, ci):
+            d = read(ri, ci)
+            if seen or not (d and picked(minors, ri, ci)):
+                return d
+            seen.append((ri, ci))
+            return d * T_PLUS_2
+        minors.minor = minor
+        return minors
+    return wrong
+
+def derived(minors, ri, ci):
+    return len(ri) > 1 and ri != minors._by_cols.rows and ci != minors._by_cols.cols
+
+def rank_plus(k):
+    def wrong(rows):
+        minors = real["Minors"](rows)
+        minors.rank += k
+        return minors
+    return wrong
 
 def seed_times(d, e):
     delta, cofactor = real["_fox_seed"](d, e)
     return delta * T_PLUS_2, cofactor
 
 faults = {
-    "one minor times (t+2)": ("determinant", first_minor_times),
+    "one minor times (t+2)": ("Minors", first_minor_times(lambda minors, ri, ci: True)),
+    "derived minor times (t+2)": ("Minors", first_minor_times(derived)),
     "gcd times (t+2)": ("gcd", lambda a, b: real["gcd"](a, b) * T_PLUS_2),
     "gcd replaced by 1": ("gcd", lambda a, b: LaurentPoly.one()),
     "seed times (t+2)": ("_fox_seed", seed_times),
@@ -685,13 +725,18 @@ faults = {
     "seed with psi_j = 0": ("_fox_seed", lambda d, e: real["_fox_seed"](d, 0)),
     "seed divides by 1 + ... + t^|psi_j|": ("_fox_seed",
                                             lambda d, e: real["_fox_seed"](d, abs(e) + 1)),
-    "rank - 1": ("rank", lambda rows: real["rank"](rows) - 1),
-    "rank + 1": ("rank", lambda rows: real["rank"](rows) + 1),
+    "rank - 1": ("Minors", rank_plus(-1)),
+    "rank + 1": ("Minors", rank_plus(1)),
 }
 text, psi = sys.argv[1], tuple(int(v) for v in sys.argv[2].split(","))
 jac = T.specialize_jacobian(parse_presentation(text), psi)
-if jac.num_relators == 1:  # each 1-minor is its entry: no determinant to fault
+if jac.num_relators == 1:  # each 1-minor is its entry: no determinant to check it against
     del faults["one minor times (t+2)"]
+minors = real["Minors"](jac.entries)
+if not any(minors.minor(ri, ci) and derived(minors, ri, ci)
+           for ri in itertools.combinations(range(jac.num_relators), minors.rank)
+           for ci in itertools.combinations(range(jac.num_generators), minors.rank)):
+    del faults["derived minor times (t+2)"]  # every derived minor is 0
 unused = "gcd" if jac.num_generators - jac.num_relators == 1 else "_fox_seed"
 faults = {label: fault for label, fault in faults.items() if fault[0] != unused}
 unfaulted = T.torsion_polynomial(jac)
@@ -755,6 +800,26 @@ def test_invariant_violation_survives_optimize():
         "optimize=1 gcd replaced by 1: the minors share a factor beyond the minor GCD",
         "optimize=1 rank - 1: the rank is below the rank at a point mod p",
         "optimize=1 rank + 1: every minor of size 2 vanishes",
+    ]
+    # square of rank 2: every derived minor of sol-bundle-trace-3 is 0 (row
+    # [a, b] and column s are 0), so it is faulted on the same group after
+    # a = c s^-1 and the first relator times the second, whose are not
+    sol = next(e for e in THREE_MANIFOLD_CORPUS if e.name == "sol-bundle-trace-3")
+    inert_gcd = ["gcd times (t+2): the unfaulted Delta", "gcd replaced by 1: the unfaulted Delta"]
+    rank_lines = ["optimize=1 rank - 1: the rank is below the rank at a point mod p",
+                  "optimize=1 rank + 1: every minor of size 3 vanishes"]
+    assert _run_faults(env, serialize_presentation(sol.presentation()), sol.psi) == [
+        "unfaulted degree 2",
+        "optimize=1 one minor times (t+2): a minor disagrees with its determinant mod p",
+        *inert_gcd, *rank_lines,
+    ]
+    sol_tietze = ("gens: c, b, s\nrel: c S b s C B s c S S B s C s C\nrel: s c S S B s C s C\n"
+                  "rel: s b S B s C\n")
+    assert _run_faults(env, sol_tietze, (1, 0, 1)) == [
+        "unfaulted degree 2",
+        "optimize=1 one minor times (t+2): a minor disagrees with its determinant mod p",
+        "optimize=1 derived minor times (t+2): a minor disagrees with its determinant mod p",
+        *inert_gcd, *rank_lines,
     ]
     proc = subprocess.run([sys.executable, "-O", "-c", _PACKED_FAULTS], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -821,10 +886,16 @@ for name in ("determinant", "rank"):
 L._sub_mul = real_sub_mul
 
 jac = T.specialize_jacobian(parse_presentation("gens: x, y\\nrel: x^21 y^-22\\n"), (22, 21))
-real_rank = T.rank
-T.rank = lambda rows: real_rank(rows) - 1  # one relator: rank 0, caught before Delta = 1
+real_minors = T.Minors
+
+def rank_minus_1(rows):  # one relator: rank 0, caught before Delta = 1
+    minors = real_minors(rows)
+    minors.rank -= 1
+    return minors
+
+T.Minors = rank_minus_1
 report("rank - 1 on x^21 y^-22", lambda: T.torsion_polynomial(jac))
-T.rank = real_rank
+T.Minors = real_minors
 
 real_seed = T._fox_seed
 T._fox_seed = lambda d, e: real_seed(d, abs(e) + 1)
@@ -885,8 +956,7 @@ def test_inexact_bareiss_division_survives_optimize():
     ]
 
 
-# A 1-minor is read from the Jacobian and a larger one from determinant, so
-# the faulted minor is planted where the input's rank r reads it.
+# Every minor is read from Minors, so the faulted minor is planted there.
 _BOUND_FAULTS = """
 import sys
 from fractions import Fraction
@@ -894,38 +964,32 @@ import torsionpoly.torsion as T
 from torsionpoly.laurent import InvariantViolation
 from torsionpoly.presentation import parse_presentation
 
-real = {name: getattr(T, name) for name in ("determinant", "specialize_jacobian", "complex_roots")}
+real = {name: getattr(T, name) for name in ("Minors", "complex_roots")}
 pres = parse_presentation(sys.argv[1])
 psi = tuple(int(v) for v in sys.argv[2].split(","))
 c = T.annulus_certify(pres, psi, certify_only=True).c
-r = T.rank(T.specialize_jacobian(pres, psi).entries)
+r = real["Minors"](T.specialize_jacobian(pres, psi).entries).rank
 
 def first_minor_times(factor):
-    seen = []
     def wrong(rows):
-        d = real["determinant"](rows)
-        if d and not seen:
-            seen.append(rows)
-            return d.scale(factor)
-        return d
-    return wrong
-
-def first_entry_times(factor):
-    def wrong(pres, psi):
-        jac = real["specialize_jacobian"](pres, psi)
-        rows = [list(row) for row in jac.entries]
-        i, j = next((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e)
-        rows[i][j] = rows[i][j].scale(factor)
-        return jac._replace(entries=tuple(map(tuple, rows)))
+        minors, seen = real["Minors"](rows), []
+        read = minors.minor
+        def minor(ri, ci):
+            d = read(ri, ci)
+            if d and not seen:
+                seen.append((ri, ci))
+                return d.scale(factor)
+            return d
+        minors.minor = minor
+        return minors
     return wrong
 
 def roots_times_2c(p, tol, seed):
     return [(z * float(2 * c), m) for z, m in real["complex_roots"](p, tol, seed)]
 
-minor = ("determinant", first_minor_times) if r >= 2 else ("specialize_jacobian", first_entry_times)
 faults = {
-    "one minor times c": (minor[0], minor[1](c)),
-    "one minor halved": (minor[0], minor[1](Fraction(1, 2))),
+    "one minor times c": ("Minors", first_minor_times(c)),
+    "one minor halved": ("Minors", first_minor_times(Fraction(1, 2))),
     "roots times 2c": ("complex_roots", roots_times_2c),
 }
 print("rank", r)
