@@ -1386,8 +1386,8 @@ class _PivotRows:
 
 class Minors:
     """The minors of size r, the rank, of a matrix A over Q[t, t^-1], from
-    fraction-free Gauss-Jordan passes (Bareiss 1968) and no determinant per
-    minor.
+    fraction-free Gauss-Jordan passes (Bareiss 1968) instead of a
+    determinant per minor.
 
     A 1-minor is its entry, and a single row needs no pass.  Else one pass
     on A gives r, the pivot rows R, the pivot columns P and every
@@ -1401,6 +1401,7 @@ class Minors:
     def __init__(self, rows):
         self._rows, self._by_rows = rows, None
         self._by_cols = _PivotRows(rows) if len(rows) > 1 and rows[0] else None
+        # rank is for callers to read; minor() keeps to the passes' own count
         self._rank = self.rank = (len(self._by_cols.cols) if self._by_cols
                                   else int(bool(rows) and any(rows[0])))
 
