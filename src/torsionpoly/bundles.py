@@ -7,7 +7,9 @@ fibers this is checked end to end: the mapping-torus presentation is built
 group-theoretically, run through the Fox-calculus torsion pipeline, and the
 result compared exactly against det(monodromy - tI).  Power covers replace
 the monodromy by its n-th power; the induced n-th-power map on roots is
-verified exactly through a Sylvester-matrix resultant.
+verified exactly through the resultant with lambda^n - t, reduced first mod
+the characteristic polynomial p so that its Sylvester matrix has size at
+most 2 deg p - 1 (3 for a 2x2 monodromy) whatever n is.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from typing import NamedTuple
 from .freegroup import Word
 from .laurent import (
     LaurentPoly,
+    _pdivmod,
+    _poly,
     complex_roots,
     determinant,
     normalize,
@@ -99,19 +103,13 @@ def charpoly(phi) -> LaurentPoly:
     are kept exact, so coefficient denominators reflect those of phi.
     """
     rows = phi.matrix if isinstance(phi, AlgebraicMonodromy) else _as_matrix(phi, len(phi))
-    beta = len(rows)
-    t = LaurentPoly.t()
     m = [
-        [
-            LaurentPoly.constant(rows[i][j]) - (t if i == j else LaurentPoly.zero())
-            for j in range(beta)
-        ]
-        for i in range(beta)
+        [_poly([x.numerator, -x.denominator] if i == j else [x.numerator], x.denominator)
+         for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
     ]
     p = determinant(m)
-    if beta % 2:
-        p = -p
-    return p
+    return -p if len(rows) % 2 else p
 
 
 def _sl2z_matrix(a) -> list[list[int]]:
@@ -123,8 +121,8 @@ def _sl2z_matrix(a) -> list[list[int]]:
     return m
 
 
-def _power_word(gen: int, k: int) -> Word:
-    return Word([(1 if k > 0 else -1) * (gen + 1)] * abs(k))
+def _power_letters(gen: int, k: int) -> list[int]:
+    return [(1 if k > 0 else -1) * (gen + 1)] * abs(k)
 
 
 def mapping_torus_presentation(a) -> tuple[FinitePresentation, tuple[int, int, int]]:
@@ -140,13 +138,10 @@ def mapping_torus_presentation(a) -> tuple[FinitePresentation, tuple[int, int, i
     letters = sum(abs(x) for row in m for x in row)
     if letters > LETTER_CAP:
         raise ValueError(f"the matrix entries need {letters} letters, past the cap of {LETTER_CAP}")
-    ga, gb, gs = Word([1]), Word([2]), Word([3])
-    commutator = ga * gb * ~ga * ~gb
-    phi_a = _power_word(0, m[0][0]) * _power_word(1, m[1][0])
-    phi_b = _power_word(0, m[0][1]) * _power_word(1, m[1][1])
-    rel_a = gs * ga * ~gs * ~phi_a
-    rel_b = gs * gb * ~gs * ~phi_b
-    pres = FinitePresentation(("a", "b", "s"), (commutator, rel_a, rel_b))
+    # s g s^-1 phi(g)^-1, with phi(g)^-1 = b^-A2j a^-A1j for g the j-th of (a, b)
+    rels = [Word([3, g, -3, *_power_letters(1, -m[1][j]), *_power_letters(0, -m[0][j])])
+            for j, g in enumerate((1, 2))]
+    pres = FinitePresentation(("a", "b", "s"), (Word([1, 2, -1, -2]), *rels))
     return pres, (0, 0, 1)
 
 
@@ -176,26 +171,36 @@ def verify_monodromy_torsion(a) -> MonodromyTorsionReport:
 
 def _resultant_power(p: LaurentPoly, n: int) -> LaurentPoly:
     """Resultant_lambda(p(lambda), lambda^n - t): the monic-up-to-units
-    polynomial in t whose roots are the n-th powers of the roots of p."""
-    cs = p.dense()
-    dp = len(cs) - 1
-    # Sylvester matrix of p (degree dp in lambda, constant coefficients) and
-    # lambda^n - t (degree n in lambda, coefficients in Q[t]), both descending.
-    p_desc = [LaurentPoly.constant(c) for c in reversed(cs)]
-    g_desc = [LaurentPoly.zero()] * (n + 1)
-    g_desc[0] = LaurentPoly.one()
-    g_desc[n] = -LaurentPoly.t()
-    size = dp + n
+    polynomial in t whose roots are the n-th powers of the roots of p.
+
+    With P = p * den the integer form of p, one pseudo-division gives
+    s * lambda^n = q * P + r, so lambda^n - t = h mod P for h = r/s - t, of
+    degree e < deg P.  Res(P, lambda^n - t) = lead(P)^(n - e) * Res(P, h)
+    (von zur Gathen and Gerhard, ch. 6), and Res(P, s h) = s^deg(P) Res(P, h),
+    so one Sylvester determinant of P and s h, of size deg P + e <=
+    2 deg P - 1 whatever n is, gives it; p's n rows of the full matrix put
+    den^-n on it.
+    """
+    cs, d = p.ints, len(p.ints) - 1
+    s, _, r = _pdivmod([0] * n + [1], cs)
+    e = max(len(r) - 1, 0)
+    # Sylvester matrix of P (e rows) and s h (d rows), descending in lambda;
+    # only the constant coefficient of s h, r_0 - s t, holds t
+    p_desc = [_poly((c,)) for c in reversed(cs)]
+    h_desc = [_poly((c,)) for c in reversed(r[1:])] + [_poly((r[0] if r else 0, -s))]
+    size, zero = d + e, _poly(())
     rows = []
-    for i in range(n):
-        row = [LaurentPoly.zero()] * size
-        row[i : i + dp + 1] = p_desc
+    for i in range(e):
+        row = [zero] * size
+        row[i : i + d + 1] = p_desc
         rows.append(row)
-    for i in range(dp):
-        row = [LaurentPoly.zero()] * size
-        row[i : i + n + 1] = g_desc
+    for i in range(d):
+        row = [zero] * size
+        row[i : i + e + 1] = h_desc
         rows.append(row)
-    return determinant(rows)
+    res = determinant(rows)
+    scale = cs[-1] ** (n - e)
+    return _poly([c * scale for c in res.ints], res.den * s**d * p.den**n, res.lo)
 
 
 class PowerCoverReport(NamedTuple):
@@ -214,7 +219,13 @@ class PowerCoverReport(NamedTuple):
 def power_cover(a, n: int, tol: float = 1e-10) -> PowerCoverReport:
     """Verify that the roots of charpoly(A^n) are the n-th powers of the
     roots of charpoly(A), exactly via the resultant identity and
-    numerically within ``tol``.  ValueError past :data:`POWER_COVER_CAP`."""
+    numerically within ``tol``.  ValueError past :data:`POWER_COVER_CAP`.
+
+    The resultant (:func:`_resultant_power`) costs one pseudo-division of
+    lambda^n, n - 1 steps, and one 3x3 Sylvester determinant; a 2x2 one
+    where lambda^n is constant mod charpoly(A), which is where A^n = +-I
+    for an elliptic A.
+    """
     if not 1 <= n <= POWER_COVER_CAP:
         raise ValueError(f"n must lie in 1..{POWER_COVER_CAP}, got {n}")
     m = _sl2z_matrix(a)

@@ -162,16 +162,18 @@ def _integer_poly(terms: dict[int, int]) -> LaurentPoly:
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     """Normalized GCD of the r-rowed minors, r the rank, all read off
     :class:`Minors` (one Gauss-Jordan pass, and a second when r is below the
-    number of rows).
+    number of nonzero rows).  Past one row, zero rows are left out first:
+    every minor through one is 0.
 
-    Past :data:`MINOR_ENUMERATION_CAP` minors :class:`SizeBudgetExceeded`
-    is raised after the first pass, before any minor is derived.  At one
-    point mod p the rank must not exceed r (checked when r < min(rows,
-    columns), else it cannot), and a minor of size r >= 2 must equal its
-    submatrix's determinant, which checks its derivation (a 1-minor is its
-    entry).  Each minor must be an integer polynomial within the m!k^m norm
-    bound (the proof of :func:`annulus_certify`).  The GCD is proved
-    exactly: it divides every minor and the cofactors are coprime.  It starts as the nonzero minor D_j with the fewest
+    Past :data:`MINOR_ENUMERATION_CAP` minors, counted on the full shape,
+    :class:`SizeBudgetExceeded` is raised after the first pass, before any
+    minor is derived.  At one point mod p the rank must not exceed r
+    (checked when r < min(nonzero rows, columns), else it cannot), and a
+    minor of size r >= 2 must equal its submatrix's determinant, which
+    checks its derivation (a 1-minor is its entry).  Each minor must be an
+    integer polynomial within the m!k^m norm bound (the proof of
+    :func:`annulus_certify`).  The GCD is proved exactly: it divides every
+    minor and the cofactors are coprime.  It starts as the nonzero minor D_j with the fewest
     coefficients, normalized, and only a minor it does not divide runs
     :func:`gcd`.  If r = rows = columns - 1 and psi is primitive, with j
     the column D_j leaves out, Fox's formula sum_j J_ij (t^psi_j - 1) = 0
@@ -179,22 +181,24 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     D_j / (1 + t + ... + t^(|psi_j|-1)); too large a start shrinks, too small
     leaves the cofactors a common factor.  :class:`InvariantViolation` is a bug.
     """
-    minors = Minors(jac.entries)
+    # a minor through a zero row is 0; a single row runs no pass, so it stays
+    rows = jac.entries if len(jac.entries) == 1 else [row for row in jac.entries if any(row)]
+    minors = Minors(rows)
     r = minors.rank
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
     if n_minors > MINOR_ENUMERATION_CAP:
         raise SizeBudgetExceeded(
             f"{n_minors} minors of size {r} exceed the cap of {MINOR_ENUMERATION_CAP}")
-    check_rank = r < min(jac.num_relators, jac.num_generators)
+    check_rank = r < min(len(rows), jac.num_generators)
     if check_rank or r >= 2:
-        at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in jac.entries]
+        at = [[value_mod_p(e, _CHECK_POINT) for e in row] for row in rows]
     if check_rank and rank_det_mod_p(at)[0] > r:
         raise InvariantViolation("the rank is below the rank at a point mod p")
     if r == 0:
         return LaurentPoly.one()
     coeff_bound = int(root_bound(jac.num_generators, jac.complexity)) - 1
     found = []
-    for ri in itertools.combinations(range(jac.num_relators), r):
+    for ri in itertools.combinations(range(len(rows)), r):
         for ci in itertools.combinations(range(jac.num_generators), r):
             d = minors.minor(ri, ci)
             if d.den != 1:

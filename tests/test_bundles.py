@@ -23,13 +23,19 @@ from torsionpoly.bundles import (
     power_cover,
     verify_monodromy_torsion,
 )
+from torsionpoly.freegroup import Word
 from torsionpoly.laurent import (
     LaurentPoly,
     complex_roots,
     normalize,
     roots_in_annulus,
 )
-from torsionpoly.presentation import serialize_presentation, validate_epimorphism
+from torsionpoly.presentation import (
+    POWER_COVER_CAP,
+    FinitePresentation,
+    serialize_presentation,
+    validate_epimorphism,
+)
 
 
 def lp(*coeffs):
@@ -355,19 +361,68 @@ def test_candidate_search_computes_no_roots(monkeypatch):
 def test_resultant_power_matches_sympy():
     # Res_lambda(p(lambda), lambda^n - t) is the determinant of the Sylvester
     # matrix of p and lambda^n - t; sympy.resultant agrees up to its sign
-    # convention, which differs for some odd degrees
+    # convention, which differs for some odd degrees, so the sign is pinned by
+    # the t-leading coefficient of that determinant, lead(p)^n (-1)^deg p
     lam, t = sympy.symbols("lam t")
     rng = random.Random(8)
+    inputs = []
     for _ in range(10):
         cs = [rng.randint(-6, 6) or 1] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 3))]
         cs.append(rng.choice([1, -1, 2, 3]))
+        inputs.append(cs)
+    # lambda^n is constant mod lambda^2 + 1 at even n and mod lambda^2 + lambda + 1
+    # at n = 0 mod 3; (lambda - 1)^2 is the parabolic charpoly
+    inputs += [[1, 0, 1], [1, 1, 1], [1, -2, 1]]
+
+    def coeffs(expr):
+        return [int(c) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
+
+    for cs in inputs:
         f = sympy.Poly(list(reversed(cs)), lam).as_expr()
-        for n in range(1, 6):
-            got = [int(c) for c in _resultant_power(lp(*cs), n).dense()]
-
-            def coeffs(expr):
-                return [int(c) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
-
-            assert got == coeffs(sylvester(f, lam**n - t, lam).det()), (cs, n)
+        for n in range(1, POWER_COVER_CAP + 1):
+            res = _resultant_power(lp(*cs), n)
+            got = [int(c) for c in res.dense()]
+            if n <= 5:
+                assert got == coeffs(sylvester(f, lam**n - t, lam).det()), (cs, n)
             ref = coeffs(sympy.resultant(f, lam**n - t, lam))
             assert got in (ref, [-c for c in ref]), (cs, n)
+            assert res.lo == 0 and got[-1] == cs[-1] ** n * (-1) ** (len(cs) - 1), (cs, n)
+            # p's n rows of the Sylvester matrix carry its denominator
+            assert _resultant_power(lp(*cs).scale(Fraction(1, 6)), n) == res.scale(Fraction(1, 6**n))
+
+
+def test_resultant_power_takes_one_small_determinant(monkeypatch):
+    sizes = []
+    real = bundles_mod.determinant
+    monkeypatch.setattr(bundles_mod, "determinant", lambda rows: sizes.append(len(rows)) or real(rows))
+    for cs in ([1, -3, 1], [1, 18, 1], [1, 0, 1], [1, 1, 1], [1, -2, 1], [-1, 1], [2, 0, 1, 3],
+               [-1, 4, 0, 0, 2]):
+        for n in range(1, POWER_COVER_CAP + 1):
+            sizes.clear()
+            _resultant_power(lp(*cs), n)
+            assert len(sizes) == 1 and sizes[0] <= 2 * (len(cs) - 1) - 1, (cs, n, sizes)
+
+
+def _presentation_by_products(a):
+    """The torus-bundle presentation as a product of reduced words."""
+    ga, gb, gs = Word([1]), Word([2]), Word([3])
+
+    def power(g, k):
+        return Word([(1 if k > 0 else -1) * g.letters[0]] * abs(k))
+
+    phi_a = power(ga, a[0][0]) * power(gb, a[1][0])
+    phi_b = power(ga, a[0][1]) * power(gb, a[1][1])
+    return FinitePresentation(("a", "b", "s"), (ga * gb * ~ga * ~gb, gs * ga * ~gs * ~phi_a,
+                                                gs * gb * ~gs * ~phi_b))
+
+
+def test_mapping_torus_relators_match_word_products():
+    ladder, step = [], [[1, 0], [0, 1]]
+    for _ in range(8):
+        step = [[2 * step[0][0] + step[0][1], step[0][0] + step[0][1]],
+                [2 * step[1][0] + step[1][1], step[1][0] + step[1][1]]]
+        ladder.append(step)
+    rng = random.Random(25)
+    seeded = [random_sl2z_matrix(rng) for _ in range(40)]
+    for a in ladder + seeded + [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]]]:
+        assert mapping_torus_presentation(a) == (_presentation_by_products(a), (0, 0, 1)), a

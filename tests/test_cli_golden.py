@@ -40,6 +40,10 @@ def golden_commands():
     for matrix in ("2,1,1,1", "3,2,1,1"):
         out.append((f"mapping-torus {matrix}",
                     ["mapping-torus", "--matrix", matrix, "--power", "3", "--json"], ""))
+    # hyperbolic, elliptic and parabolic monodromies at the power-cover cap
+    for matrix in ("10,-9,-11,10", "0,-1,1,0", "1,1,0,1"):
+        out.append((f"mapping-torus {matrix} power 32",
+                    ["mapping-torus", "--matrix", matrix, "--power", "32", "--json"], ""))
     out.append(("sol-census trace-bound 10", ["sol-census", "--trace-bound", "10", "--json"], ""))
     out.append(("sol-census c 7/2", ["sol-census", "--c", "7/2", "--json"], ""))
     # the parent took minutes on this input; its delta was checked against

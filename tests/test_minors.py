@@ -160,3 +160,39 @@ def test_minors_above_the_rank_are_0_and_below_it_refused():
         minors.minor((0,), (0,))
     with pytest.raises(ValueError):
         minors.minor((0, 1), (0, 1, 2))
+
+
+def test_zero_rows_are_left_out_of_the_minors(monkeypatch):
+    """A minor through a zero row is 0, so torsion_polynomial leaves zero
+    rows out: on each torus-bundle square (its row of [a, b] is 0) it reads
+    3 minors off one pass, not 9 off two.  A zero row planted into a seeded
+    Jacobian leaves Delta the GCD of every minor of the full matrix."""
+    passes, reads = [], []
+    real_pass, real_minor = laurent_mod._bareiss, Minors.minor
+    monkeypatch.setattr(laurent_mod, "_bareiss", lambda rows, **kw: (
+        passes.append(len(rows)) or real_pass(rows, **kw)))
+    monkeypatch.setattr(Minors, "minor", lambda self, ri, ci: (
+        reads.append((ri, ci)) or real_minor(self, ri, ci)))
+    squares = [(name, jac) for name, jac in CORPUS + LADDER
+               if jac.num_relators == jac.num_generators == 3]
+    assert len(squares) == 11
+    for name, jac in squares:
+        passes.clear(), reads.clear()
+        assert sum(not any(row) for row in jac.entries) == 1, name
+        torsion_polynomial(jac)
+        assert (passes, len(reads)) == ([2], 3), name
+    monkeypatch.undo()
+    rng = random.Random(24)
+    planted = 0
+    for name, jac in SEEDED:
+        if jac.num_relators == 1 or not all(any(row) for row in jac.entries):
+            continue
+        rows = list(jac.entries)
+        rows.insert(rng.randint(0, len(rows)), (LaurentPoly.zero(),) * jac.num_generators)
+        full = _jacobian(rows)
+        want = minors_by_determinant(full.entries, rank(jac.entries))
+        got = torsion_polynomial(full)
+        assert got == functools.reduce(gcd, [d for d in want if d], LaurentPoly.zero()), name
+        assert got == torsion_polynomial(jac), name
+        planted += 1
+    assert planted >= 40
