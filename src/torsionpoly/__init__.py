@@ -5,9 +5,9 @@ attached to a finite group presentation together with an epimorphism onto
 Z (Fox calculus, then the GCD of maximal minors of the specialized
 Jacobian over Q[t, t^-1]), and certifies that all of its nonzero roots lie
 in the annulus 1/c <= |t| <= c for c = 1 + m! * k^m, where k is the total
-l1 norm of the Fox Jacobian.  Companion modules cover algebraic
-monodromies of homology surface bundles, their power covers, and the
-census of hyperbolic SL2(Z) monodromies compatible with a given bound.
+l1 norm of the Fox Jacobian.  Companion modules cover torus bundles,
+their power covers, and the census of hyperbolic SL2(Z) monodromies
+compatible with a given bound.
 
 When the input presents the fundamental group of a compact orientable
 3-manifold, the computed polynomial is the torsion polynomial of the

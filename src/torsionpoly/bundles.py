@@ -1,9 +1,8 @@
-"""Homology surface bundles: algebraic monodromy, mapping tori, power covers.
+"""Surface bundles over the circle: monodromies, mapping tori, power covers.
 
-A rational-homology product cobordism composed with a gluing matrix gives
-an algebraic monodromy Y*X in SL(Q); its characteristic polynomial is the
-torsion polynomial of the fiber class of the glued-up bundle.  For torus
-fibers this is checked end to end: the mapping-torus presentation is built
+The characteristic polynomial of a monodromy is the torsion polynomial of
+the bundle's fiber class.  For torus fibers, with monodromy in SL2(Z), this
+is checked end to end: the mapping-torus presentation is built
 group-theoretically, run through the Fox-calculus torsion pipeline, and the
 result compared exactly against det(monodromy - tI).  Power covers replace
 the monodromy by its n-th power; the induced n-th-power map on roots is
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,91 +29,41 @@ from .laurent import (
     roots_in_annulus,
 )
 from .presentation import LETTER_CAP, POWER_COVER_CAP, FinitePresentation
-from .sl2z import det, mat_pow
+from .sl2z import Mat2, det, mat_pow
 from .torsion import specialize_jacobian, torsion_polynomial
 
 CANDIDATE_SEARCH_CAP = 10**7
 
 
-def _has_det_one(rows) -> bool:
-    return determinant([[LaurentPoly.constant(x) for x in row] for row in rows]) == LaurentPoly.one()
-
-
-def _as_matrix(rows, beta: int) -> tuple[tuple[Fraction, ...], ...]:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if len(m) != beta or any(len(row) != beta for row in m):
-        raise ValueError(f"expected a {beta}x{beta} matrix")
-    return m
-
-
-class HomologyBundleData(namedtuple("HomologyBundleData", "beta x y")):
-    """First-homology data of a rational-homology F x I with a gluing.
-
-    ``x`` is the rational matrix of the through-the-cobordism composition
-    (det 1 exactly), ``y`` the integral matrix of the gluing (det 1).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, beta: int, x, y):
-        if beta < 1:
-            raise ValueError("beta must be a positive integer")
-        x, y = _as_matrix(x, beta), _as_matrix(y, beta)
-        if not _has_det_one(x):
-            raise ValueError("x must have determinant 1")
-        if not _has_det_one(y):
-            raise ValueError("y must have determinant 1")
-        if any(v.denominator != 1 for row in y for v in row):
-            raise ValueError("y must be integral")
-        return super().__new__(cls, int(beta), x, y)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-
-class AlgebraicMonodromy(namedtuple("AlgebraicMonodromy", "matrix")):
-    """The composition matrix Y * X; determinant 1 by construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, matrix):
-        m = _as_matrix(matrix, len(matrix))
-        if not _has_det_one(m):
-            raise ValueError("monodromy must have determinant 1")
-        return super().__new__(cls, m)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-
-def monodromy(data: HomologyBundleData) -> AlgebraicMonodromy:
-    """Exact product Y * X."""
-    b = data.beta
-    prod = [
-        [sum(data.y[i][k] * data.x[k][j] for k in range(b)) for j in range(b)]
-        for i in range(b)
-    ]
-    return AlgebraicMonodromy(prod)
-
-
 def charpoly(phi) -> LaurentPoly:
-    """Monic characteristic polynomial det(phi - tI) * (-1)^beta.
+    """Monic characteristic polynomial det(phi - tI) * (-1)^beta of a
+    beta x beta matrix of rationals.
 
-    Degree beta with constant term +/-1 (determinant 1).  Rational entries
-    are kept exact, so coefficient denominators reflect those of phi.
+    Degree beta with constant term (-1)^beta det(phi), so +/-1 when phi has
+    determinant 1.  Rational entries are kept exact, so coefficient
+    denominators reflect those of phi.
     """
-    rows = phi.matrix if isinstance(phi, AlgebraicMonodromy) else _as_matrix(phi, len(phi))
+    rows = [[Fraction(x) for x in row] for row in phi]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"expected a {n}x{n} matrix")
     m = [
         [_poly([x.numerator, -x.denominator] if i == j else [x.numerator], x.denominator)
          for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
     p = determinant(m)
-    return -p if len(rows) % 2 else p
+    return -p if n % 2 else p
 
 
-def _sl2z_matrix(a) -> list[list[int]]:
-    m = [[int(x) for x in row] for row in a]
-    if len(m) != 2 or any(len(r) != 2 for r in m):
+def _sl2z_matrix(a) -> Mat2:
+    """``a`` as ints; ValueError unless a 2x2 integer matrix of determinant 1."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("expected a 2x2 matrix")
+    if any(x.denominator != 1 for r in rows for x in r):
+        raise ValueError("expected an integer matrix")
+    m = tuple(tuple(x.numerator for x in r) for r in rows)
     if det(m) != 1:
         raise ValueError("monodromy must have determinant 1")
     return m
@@ -148,7 +96,7 @@ def mapping_torus_presentation(a) -> tuple[FinitePresentation, tuple[int, int, i
 class MonodromyTorsionReport(NamedTuple):
     """Cross-check of the Fox pipeline against det(phi - tI) for a torus bundle."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: Mat2
     torsion: LaurentPoly
     characteristic: LaurentPoly
     ok: bool
@@ -161,12 +109,12 @@ def verify_monodromy_torsion(a) -> MonodromyTorsionReport:
     a 2x2 determinant on the other) and compared exactly after
     normalization.
     """
-    pres, psi = mapping_torus_presentation(a)
+    m = _sl2z_matrix(a)
+    pres, psi = mapping_torus_presentation(m)
     delta = torsion_polynomial(specialize_jacobian(pres, psi))
-    cp = charpoly([[Fraction(x) for x in row] for row in a])
+    cp = charpoly(m)
     ok = normalize(delta) == normalize(cp)
-    mat = tuple(tuple(int(x) for x in row) for row in a)
-    return MonodromyTorsionReport(mat, delta, cp, ok)
+    return MonodromyTorsionReport(m, delta, cp, ok)
 
 
 def _resultant_power(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -206,7 +154,7 @@ def _resultant_power(p: LaurentPoly, n: int) -> LaurentPoly:
 class PowerCoverReport(NamedTuple):
     """Root-power check: charpoly(A^n) against {root^n of charpoly(A)}."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: Mat2
     n: int
     base: LaurentPoly
     power: LaurentPoly
@@ -244,8 +192,7 @@ def power_cover(a, n: int, tol: float = 1e-10) -> PowerCoverReport:
     numeric_ok = len(powered) == len(direct) and all(
         abs(u - v) <= tol ** 0.5 * max(1.0, abs(v)) for u, v in zip(powered, direct)
     )
-    mat = tuple(tuple(row) for row in m)
-    return PowerCoverReport(mat, n, base, power, composed, exact_ok, numeric_ok,
+    return PowerCoverReport(m, n, base, power, composed, exact_ok, numeric_ok,
                             exact_ok and numeric_ok)
 
 

@@ -6,9 +6,7 @@ and power covers), ``sol-census`` (hyperbolic monodromy census).  Exit
 codes: 0 success, 1 input error or refusal, 2 a failed ``mapping-torus``
 cross-check.  JSON output is byte-deterministic for fixed inputs and seed.
 ``bundles`` and ``sl2z`` are imported inside the commands that run them, so
-a ``torsion`` or ``scan`` process never loads them.  No record of the
-package is built by a record decorator, so no subcommand pays for its
-imports.
+a ``torsion`` or ``scan`` process never loads them.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ class Word:
     >>> x, y = Word([1]), Word([2])
     >>> x * y * ~y * x == x * x
     True
-    >>> (x * y).inverse()
+    >>> ~(x * y)
     Word([-2, -1])
     """
 
@@ -59,9 +59,6 @@ class Word:
 
     def __invert__(self) -> "Word":
         return Word(tuple(-a for a in reversed(self.letters)))
-
-    def inverse(self) -> "Word":
-        return ~self
 
     def max_generator(self) -> int:
         """Largest 0-based generator index appearing, or -1 for the identity."""

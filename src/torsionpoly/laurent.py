@@ -1235,7 +1235,7 @@ def _global_shift(rows):
     return min([0] + [e.lo for row in rows for e in row if e])
 
 
-def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
+def _bareiss(rows, reduce_above: bool):
     """Fraction-free Bareiss elimination on integer polynomials; returns
     (pivots as integer lists, row-swap sign, pivot rows, pivot columns, lo,
     row denominators, integer rows).
@@ -1245,11 +1245,11 @@ def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
     so det(A) = sign * (last pivot) / (product of the d_i) * t^(lo * n).
     The pivot rows are the original indices of the rows swapped to the top.
     Each division by the previous pivot is exact in Z[t] (Bareiss 1968),
-    else :class:`InvariantViolation`.  A column with no pivot is skipped, or
-    ends the pass if ``stop_at_missing_pivot``.  With ``reduce_above`` the
-    rows above each pivot are reduced too (Gauss-Jordan), in every non-pivot
-    column, so each pivot row ends as the last pivot times its row of
-    A_{R,P}^-1 A_{R,:}, for R and P the pivot rows and columns.
+    else :class:`InvariantViolation`.  A column with no pivot is skipped.
+    With ``reduce_above`` the rows above each pivot are reduced too
+    (Gauss-Jordan), in every non-pivot column, so each pivot row ends as the
+    last pivot times its row of A_{R,P}^-1 A_{R,:}, for R and P the pivot
+    rows and columns.
     """
     lo = _global_shift(rows)
     m, dens = map(list, zip(*(_row_ints(row, lo) for row in rows)))
@@ -1259,8 +1259,6 @@ def _bareiss(rows, stop_at_missing_pivot: bool, reduce_above: bool):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
-            if stop_at_missing_pivot:
-                break
             if reduce_above:  # rows above keep it reduced; the rest stay 0 there
                 skipped.append(c)
             continue
@@ -1296,8 +1294,8 @@ def _parity(seq) -> int:
 
 def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant: the entry of a 1x1 matrix, else the last Bareiss
-    pivot over the row denominators, or 0 at the first column without a
-    pivot; at most one LaurentPoly is built."""
+    pivot over the row denominators, or 0 when the pass finds fewer than n
+    pivots; at most one LaurentPoly is built."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -1306,8 +1304,7 @@ def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         return LaurentPoly.one()
     if n == 1:
         return rows[0][0]
-    pivots, sign, _, _, lo, dens, _ = _bareiss(rows, stop_at_missing_pivot=True,
-                                               reduce_above=False)
+    pivots, sign, _, _, lo, dens, _ = _bareiss(rows, reduce_above=False)
     if len(pivots) < n:
         return LaurentPoly.zero()
     return _poly(pivots[-1] if sign > 0 else [-c for c in pivots[-1]], math.prod(dens), lo * n)
@@ -1320,8 +1317,8 @@ def solve_scaled(rows) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
     n = len(rows)
     if n == 0 or any(len(row) < n for row in rows):
         raise ValueError("solve_scaled requires rows [A | B] with A square")
-    pivots, _, _, _, _, _, m = _bareiss(rows, stop_at_missing_pivot=True, reduce_above=True)
-    if len(pivots) < n:
+    pivots, _, _, cols, _, _, m = _bareiss(rows, reduce_above=True)
+    if cols != list(range(n)):  # a singular A may take pivots in B's columns
         raise ZeroDivisionError("solve_scaled requires a nonsingular matrix")
     return _poly(pivots[-1]), [[_poly(x) for x in row[n:]] for row in m]
 
@@ -1333,7 +1330,7 @@ def rank(rows: list[list[LaurentPoly]]) -> int:
         return 0
     if len(rows) == 1:
         return 1 if any(rows[0]) else 0
-    return len(_bareiss(rows, stop_at_missing_pivot=False, reduce_above=False)[0])
+    return len(_bareiss(rows, reduce_above=False)[0])
 
 
 class _PivotRows:
@@ -1351,8 +1348,7 @@ class _PivotRows:
     """
 
     def __init__(self, rows):
-        pivots, sign, order, cols, self._lo, dens, self._y = _bareiss(
-            rows, stop_at_missing_pivot=False, reduce_above=True)
+        pivots, sign, order, cols, self._lo, dens, self._y = _bareiss(rows, reduce_above=True)
         self.rows, self.cols = tuple(sorted(order)), tuple(cols)
         self._d = pivots[-1] if pivots else [1]
         self._sign = sign if len(order) == len(rows) else _parity(order)

@@ -131,11 +131,6 @@ def _least_rotation(blocks: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int
     return min(blocks[i:] + blocks[:i] for i in range(len(blocks)))
 
 
-def canonicalize(word: RLWord) -> RLWord:
-    """Lexicographically least cyclic rotation of the blocks; idempotent."""
-    return _word(_least_rotation(word.blocks), word.sign)
-
-
 def inverse_class(word: RLWord) -> RLWord:
     """Canonical word of the inverse matrix's class.
 

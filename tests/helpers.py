@@ -269,6 +269,13 @@ def conjugacy_oracle(a: Mat2, b: Mat2, bound: int) -> str:
     return DISTINCT
 
 
+def canonicalize(word: RLWord) -> RLWord:
+    """The word with its blocks at their lexicographically least cyclic
+    rotation: the reference for the canonical words the census keeps."""
+    blocks = word.blocks
+    return RLWord(min(blocks[i:] + blocks[:i] for i in range(len(blocks))), word.sign)
+
+
 def census_by_rotation_sets(tau_max: int) -> dict[int, list[RLWord]]:
     """Canonical positive R/L words by trace, for traces <= tau_max: the
     unpruned reference for ``sl2z._positive_words_by_trace``.

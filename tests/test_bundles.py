@@ -13,13 +13,10 @@ import torsionpoly.bundles as bundles_mod
 import torsionpoly.laurent as laurent_mod
 from helpers import candidate_charpolys_by_roots, random_sl2z_matrix
 from torsionpoly.bundles import (
-    AlgebraicMonodromy,
     _resultant_power,
-    HomologyBundleData,
     charpoly,
     enumerate_candidate_charpolys,
     mapping_torus_presentation,
-    monodromy,
     power_cover,
     verify_monodromy_torsion,
 )
@@ -36,6 +33,7 @@ from torsionpoly.presentation import (
     serialize_presentation,
     validate_epimorphism,
 )
+from torsionpoly.sl2z import sol_candidates
 
 
 def lp(*coeffs):
@@ -46,53 +44,9 @@ def frac_mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def test_bundle_data_validates_determinants():
-    HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 1], [1, 1]]))
-    with pytest.raises(ValueError):
-        HomologyBundleData(2, frac_mat([[2, 0], [0, 1]]), frac_mat([[1, 0], [0, 1]]))
-    with pytest.raises(ValueError, match="y must have determinant 1"):
-        HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 0], [0, 1]]))
-    with pytest.raises(ValueError, match="y must be integral"):
-        HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), [[Fraction(1, 2), 0], [0, 2]])
-    with pytest.raises(ValueError):
-        HomologyBundleData(0, [], [])
-    with pytest.raises(ValueError):
-        HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[1, 0, 0], [0, 1, 0]]))
-    for rows in ([[2, 0], [0, 1]], [[-1]]):
-        with pytest.raises(ValueError, match="monodromy must have determinant 1"):
-            AlgebraicMonodromy(rows)
-
-
-def test_bundle_records_reject_bad_construction():
-    x, y = frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 1], [1, 1]])
-    data = HomologyBundleData(2, x, y)
-    for fields, message in (
-        ((2, frac_mat([[2, 0], [0, 1]]), y), "x must have determinant 1"),
-        ((2, x, frac_mat([[2, 0], [0, 1]])), "y must have determinant 1"),
-        ((2, x, [[Fraction(1, 2), 0], [0, 2]]), "y must be integral"),
-        ((0, [], []), "beta must be a positive integer"),
-        ((2, x, frac_mat([[1, 0, 0], [0, 1, 0]])), "expected a 2x2 matrix"),
-    ):
-        for build in (lambda: HomologyBundleData(*fields), lambda: HomologyBundleData._make(fields),
-                      lambda: data._replace(beta=fields[0], x=fields[1], y=fields[2])):
-            with pytest.raises(ValueError, match=message):
-                build()
-    phi = AlgebraicMonodromy(y)
-    for rows, message in (([[2, 0], [0, 1]], "monodromy must have determinant 1"),
-                          ([[1, 0], [0]], "expected a 2x2 matrix")):
-        for build in (lambda: AlgebraicMonodromy(rows), lambda: AlgebraicMonodromy._make((rows,)),
-                      lambda: phi._replace(matrix=rows)):
-            with pytest.raises(ValueError, match=message):
-                build()
-    assert data._replace(y=[[1, 1], [0, 1]]).y == ((1, 1), (0, 1))
-
-
 def test_bundle_records_are_immutable_values():
     a = [[2, 1], [1, 1]]
     for make, other in (
-        (lambda: HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), a),
-         HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), [[1, 1], [0, 1]])),
-        (lambda: AlgebraicMonodromy(a), AlgebraicMonodromy([[1, 1], [0, 1]])),
         (lambda: verify_monodromy_torsion(a), verify_monodromy_torsion([[3, 2], [1, 1]])),
         (lambda: power_cover(a, 2), power_cover(a, 3)),
     ):
@@ -104,16 +58,6 @@ def test_bundle_records_are_immutable_values():
             with pytest.raises(AttributeError):
                 setattr(first, name, None)
         assert first == second
-
-
-def test_monodromy_products():
-    data = HomologyBundleData(2, frac_mat([[1, 0], [0, 1]]), frac_mat([[2, 1], [1, 1]]))
-    assert monodromy(data).matrix == ((2, 1), (1, 1))
-    data = HomologyBundleData(2, [[Fraction(1, 2), 0], [0, 2]], frac_mat([[1, 0], [0, 1]]))
-    assert monodromy(data).matrix == ((Fraction(1, 2), 0), (0, 2))
-    a = frac_mat([[2, 1], [1, 1]])
-    ainv = frac_mat([[1, -1], [-1, 2]])
-    assert monodromy(HomologyBundleData(2, ainv, a)).matrix == ((1, 0), (0, 1))
 
 
 def test_charpoly_examples():
@@ -137,9 +81,15 @@ def test_charpoly_constant_term_is_unit():
 
 
 def test_charpoly_rational_monodromy_keeps_denominators():
-    phi = AlgebraicMonodromy([[Fraction(1, 2), 0], [0, 2]])
-    cp = charpoly(phi)
+    cp = charpoly([[Fraction(1, 2), 0], [0, 2]])
     assert cp == LaurentPoly({2: Fraction(1), 1: Fraction(-5, 2), 0: Fraction(1)})
+
+
+def test_charpoly_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="expected a 1x1 matrix"):
+        charpoly([[1, 2]])
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        charpoly([[1, 0], [0]])
 
 
 def test_mapping_torus_identity_and_examples():
@@ -164,6 +114,24 @@ def test_mapping_torus_identity_and_examples():
 def test_mapping_torus_rejects_wrong_determinant():
     with pytest.raises(ValueError):
         mapping_torus_presentation([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(5, 2), 2.7], ids=["fraction", "float"])
+def test_monodromy_entries_must_be_integers(entry):
+    # entries are never truncated: [[5/2, 1], [3, 2]] is not read as [[2, 1], [3, 2]]
+    a = [[entry, 1], [3, 2]]
+    for run in (lambda: power_cover(a, 1), lambda: verify_monodromy_torsion(a),
+                lambda: mapping_torus_presentation(a)):
+        with pytest.raises(ValueError, match="expected an integer matrix"):
+            run()
+
+
+def test_integral_entries_of_any_type_are_accepted():
+    for two in (Fraction(2), 2.0):
+        a = [[two, 1], [1, 1]]
+        assert power_cover(a, 3) == power_cover([[2, 1], [1, 1]], 3)
+        assert verify_monodromy_torsion(a) == verify_monodromy_torsion([[2, 1], [1, 1]])
+        assert mapping_torus_presentation(a) == mapping_torus_presentation([[2, 1], [1, 1]])
 
 
 def test_monodromy_torsion_examples():
@@ -347,6 +315,18 @@ def test_closed_disk_test_on_the_circle(p, inside):
                          ids=lambda g: "-".join(map(str, g)))
 def test_candidates_match_the_numeric_filter(grid):
     assert enumerate_candidate_charpolys(*grid) == candidate_charpolys_by_roots(*grid)
+
+
+@pytest.mark.parametrize("c", [1, Fraction(3, 2), 2, Fraction(5, 2), 3, Fraction(7, 2), 10,
+                               Fraction(41, 4), 25], ids=str)
+def test_candidate_search_finds_the_sol_census_traces(c):
+    # a closed manifold with root bound c dominates only the Sol manifolds whose
+    # monodromy trace tau has t^2 - tau t + 1 with both roots in [1/c, c]: the
+    # general candidate search and the closed-form census must agree on them
+    searched = {-p.dense()[1] for p in enumerate_candidate_charpolys(2, 1, c)
+                if p.dense()[0] == 1 and abs(p.dense()[1]) >= 3}
+    assert searched == {tau for tau, _ in sol_candidates(c)}
+    assert bool(searched) is (c > Fraction(5, 2))
 
 
 def test_candidate_search_computes_no_roots(monkeypatch):

@@ -175,7 +175,7 @@ def test_det_multiplicative_on_block_triangular():
 
 def test_det_singular_only_after_elimination():
     # no zero row or column; the first Bareiss step leaves a zero pivot
-    # column, so the elimination must stop there with determinant 0
+    # column, so the pass finds fewer than 3 pivots and the determinant is 0
     m = [[ONE, T, ONE], [T, T * T, T], [ONE, ONE, T]]
     assert determinant(m) == ZERO
 

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    DISTINCT, INCONCLUSIVE, SAME_CLASS, census_by_rotation_sets, conjugacy_oracle, mat_inv,
+    DISTINCT, INCONCLUSIVE, SAME_CLASS, canonicalize, census_by_rotation_sets, conjugacy_oracle,
+    mat_inv,
 )
 from torsionpoly.bundles import charpoly
 from torsionpoly.laurent import complex_roots
 from torsionpoly.sl2z import (
     RLWord,
-    canonicalize,
     classes_with_trace,
     inverse_class,
     rl_to_matrix,
