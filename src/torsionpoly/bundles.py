@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .freegroup import Word
 from .laurent import (
     LaurentPoly,
+    _integer,
     _pdivmod,
     _poly,
     complex_roots,
@@ -58,12 +59,9 @@ def charpoly(phi) -> LaurentPoly:
 
 def _sl2z_matrix(a) -> Mat2:
     """``a`` as ints; ValueError unless a 2x2 integer matrix of determinant 1."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    m = tuple(tuple(_integer(x, "matrix entry") for x in row) for row in a)
+    if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ValueError("expected a 2x2 matrix")
-    if any(x.denominator != 1 for r in rows for x in r):
-        raise ValueError("expected an integer matrix")
-    m = tuple(tuple(x.numerator for x in r) for r in rows)
     if det(m) != 1:
         raise ValueError("monodromy must have determinant 1")
     return m
@@ -228,11 +226,7 @@ def enumerate_candidate_charpolys(beta: int, n_denominator: int, c) -> list[Laur
     found = set()
     for const in (1, -1):
         for nums in itertools.product(*ranges):
-            coeffs = {beta: Fraction(1), 0: Fraction(const)}
-            for j, num in zip(range(1, beta), nums):
-                if num:
-                    coeffs[j] = Fraction(num, denom)
-            p = LaurentPoly(coeffs)
+            p = _poly([const * denom, *nums, denom], denom)
             if roots_in_annulus(p, c):
                 found.add(p)
     return sorted(found, key=lambda p: tuple(p.dense()))

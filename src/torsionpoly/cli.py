@@ -188,7 +188,7 @@ def _census(args):
         top = int(c + 1 / c)
         return str(c), top, sol_candidates(c)
     bound = args.trace_bound
-    if bound is None or bound <= 2:
+    if bound <= 2:
         raise ValueError("--trace-bound must be an integer > 2")
     return None, bound, sol_candidates(bound)
 

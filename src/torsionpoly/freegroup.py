@@ -22,7 +22,7 @@ class Word:
     Word([-2, -1])
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
         stack: list[int] = []
@@ -34,7 +34,6 @@ class Word:
             else:
                 stack.append(a)
         object.__setattr__(self, "letters", tuple(stack))
-        object.__setattr__(self, "_hash", hash(self.letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -46,7 +45,7 @@ class Word:
         return iter(self.letters)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.letters)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters

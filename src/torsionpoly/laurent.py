@@ -17,11 +17,10 @@ operands too wide for 64-bit slots, go to one sparse
 pseudo-division that visits only the divisor's nonzero coefficients, which
 also gives the remainders of the gcd, a primitive polynomial remainder
 sequence over Z.  :func:`determinant` and :func:`rank` run one
-Bareiss pass, except on one row: a 1x1 determinant is its entry and the
-rank of a single row is whether it has a nonzero entry.  :class:`Minors`
-reads every minor of size the rank off one fraction-free Gauss-Jordan
-pass, by Cramer's rule and Sylvester's identity, and below full row rank
-off a second one, through the rank-one compound.
+Bareiss pass.  :class:`Minors` reads every minor of size the rank off one
+fraction-free Gauss-Jordan pass, by Cramer's rule and Sylvester's
+identity, and below full row rank off a second one, through the rank-one
+compound.
 :func:`roots_in_annulus` decides that every nonzero root lies in
 [1/c, c] in integers too, by the Schur-Cohn recursion and Cohn's theorem.
 
@@ -69,6 +68,16 @@ class InvariantViolation(AssertionError):
 _set = object.__setattr__
 
 
+def _integer(x, what: str) -> int:
+    """x as an exact int: an integral float or Fraction is its int, else ValueError."""
+    if type(x) is int:
+        return x
+    r = Fraction(x)
+    if r.denominator != 1:
+        raise ValueError(f"expected an integer {what}, got {x}")
+    return r.numerator
+
+
 class LaurentPoly:
     """A Laurent polynomial with exact rational coefficients.
 
@@ -90,7 +99,7 @@ class LaurentPoly:
 
     def __new__(cls, coeffs=None):
         """The polynomial sum c * t^e over the pairs (e, c) of ``coeffs``."""
-        terms = {int(e): c if type(c) in (int, Fraction) else Fraction(c)
+        terms = {_integer(e, "exponent"): c if type(c) in (int, Fraction) else Fraction(c)
                  for e, c in (coeffs or {}).items() if c}
         if not terms:
             return _poly(())
@@ -120,7 +129,7 @@ class LaurentPoly:
     @classmethod
     def term(cls, coeff, exp: int) -> "LaurentPoly":
         r = coeff if isinstance(coeff, int) else Fraction(coeff)
-        return _poly((r.numerator,), r.denominator, exp)
+        return _poly((r.numerator,), r.denominator, _integer(exp, "exponent"))
 
     @classmethod
     def t(cls) -> "LaurentPoly":
@@ -215,7 +224,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
-        return _poly(self.ints, self.den, self.lo + k)
+        return _poly(self.ints, self.den, self.lo + _integer(k, "exponent"))
 
     def norm_l1(self) -> Fraction:
         """Sum of absolute values of the coefficients."""
@@ -224,7 +233,7 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.display()})"
 
-    def display(self, var: str = "t") -> str:
+    def display(self) -> str:
         """Human form in descending powers, e.g. ``t^2 - 3*t + 1``."""
         if not self.ints:
             return "0"
@@ -235,7 +244,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                pw = var if e == 1 else f"{var}^{e}"
+                pw = "t" if e == 1 else f"t^{e}"
                 body = pw if mag == 1 else f"{mag}*{pw}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
@@ -1293,17 +1302,15 @@ def _parity(seq) -> int:
 
 
 def determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant: the entry of a 1x1 matrix, else the last Bareiss
-    pivot over the row denominators, or 0 when the pass finds fewer than n
-    pivots; at most one LaurentPoly is built."""
+    """Exact determinant: the last Bareiss pivot over the row denominators,
+    or 0 when the pass finds fewer than n pivots; at most one LaurentPoly is
+    built."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
     if n == 0:
         return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
     pivots, sign, _, _, lo, dens, _ = _bareiss(rows, reduce_above=False)
     if len(pivots) < n:
         return LaurentPoly.zero()
@@ -1324,12 +1331,9 @@ def solve_scaled(rows) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
 
 
 def rank(rows: list[list[LaurentPoly]]) -> int:
-    """Rank over the fraction field Q(t): 1 for a single row with a nonzero
-    entry, else the number of Bareiss pivots."""
+    """Rank over the fraction field Q(t): the number of Bareiss pivots."""
     if not rows or not rows[0]:
         return 0
-    if len(rows) == 1:
-        return 1 if any(rows[0]) else 0
     return len(_bareiss(rows, reduce_above=False)[0])
 
 

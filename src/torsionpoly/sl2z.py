@@ -23,9 +23,9 @@ R_MAT: Mat2 = ((1, 1), (0, 1))
 L_MAT: Mat2 = ((1, 0), (1, 1))
 
 # Largest trace bound the census sweeps: the number of classes grows like
-# its square (157,256 classes at 1,000, swept in about 0.35 s on a shared
-# 2-vCPU Xeon host; `sol-census` prints them in about 1.8 s, and with
-# `--json` in about 3.7 s at a 408 MB peak).
+# its square (157,256 classes at 1,000, swept in 0.3-0.4 s on one core of a
+# shared 2-vCPU Xeon host; as a fresh CLI process `sol-census` prints them in
+# 2.1-3.0 s at a 35 MB peak, and with `--json` in 4.6-5.3 s at 406 MB).
 CENSUS_TRACE_CAP = 1000
 
 

@@ -111,7 +111,7 @@ def specialize_jacobian(pres: FinitePresentation, psi) -> SpecializedJacobian:
     :class:`SizeBudgetExceeded`, before any polynomial is built, if that
     bound exceeds :data:`DEGREE_BUDGET`.
     """
-    psi = tuple(int(x) for x in epimorphism_values(pres, psi))
+    psi = epimorphism_values(pres, psi)
     k = complexity_k(pres)
     raw, weights = [], []
     degree_bound = 0
@@ -162,8 +162,8 @@ def _integer_poly(terms: dict[int, int]) -> LaurentPoly:
 def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     """Normalized GCD of the r-rowed minors, r the rank, all read off
     :class:`Minors` (one Gauss-Jordan pass, and a second when r is below the
-    number of nonzero rows).  Past one row, zero rows are left out first:
-    every minor through one is 0.
+    number of nonzero rows).  Zero rows are left out first: every minor
+    through one is 0.
 
     Past :data:`MINOR_ENUMERATION_CAP` minors, counted on the full shape,
     :class:`SizeBudgetExceeded` is raised after the first pass, before any
@@ -181,8 +181,7 @@ def torsion_polynomial(jac: SpecializedJacobian) -> LaurentPoly:
     D_j / (1 + t + ... + t^(|psi_j|-1)); too large a start shrinks, too small
     leaves the cofactors a common factor.  :class:`InvariantViolation` is a bug.
     """
-    # a minor through a zero row is 0; a single row runs no pass, so it stays
-    rows = jac.entries if len(jac.entries) == 1 else [row for row in jac.entries if any(row)]
+    rows = [row for row in jac.entries if any(row)]  # a minor through a zero row is 0
     minors = Minors(rows)
     r = minors.rank
     n_minors = math.comb(jac.num_relators, r) * math.comb(jac.num_generators, r)
@@ -257,8 +256,6 @@ class AnnulusReport(NamedTuple):
     c: Fraction
     complexity: int
     roots: tuple[tuple[complex, int], ...]
-    min_modulus: float | None
-    max_modulus: float | None
     verdict: str
     cauchy_radius: Fraction
     cauchy_radius_reciprocal: Fraction
@@ -302,7 +299,7 @@ def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
     c = root_bound(jac.num_generators, jac.complexity)
     upper = cauchy_root_radius(delta)
     upper_reciprocal = cauchy_root_radius(reciprocal(delta))
-    report = AnnulusReport(jac.psi, delta, c, jac.complexity, (), None, None,
+    report = AnnulusReport(jac.psi, delta, c, jac.complexity, (),
                            VERDICT_VACUOUS if delta.is_unit() else VERDICT_PASS,
                            upper, upper_reciprocal, upper <= c and upper_reciprocal <= c)
     if certify_only or delta.is_unit():
@@ -311,10 +308,9 @@ def annulus_certify(pres: FinitePresentation, psi, tol: float = 1e-10,
         roots = tuple(complex_roots(delta, tol, seed))
     except RootFindingError as exc:
         return report._replace(failure=str(exc))
-    mods = [abs(z) for z, _ in roots]
-    if leaves_annulus(mods, c, tol):
+    if leaves_annulus([abs(z) for z, _ in roots], c, tol):
         raise InvariantViolation("a reported root leaves the proven annulus [1/c, c]")
-    return report._replace(roots=roots, min_modulus=min(mods), max_modulus=max(mods))
+    return report._replace(roots=roots)
 
 
 def scan(pres: FinitePresentation, bound: int, tol: float = 1e-10,

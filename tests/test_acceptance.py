@@ -198,8 +198,8 @@ def test_criterion_9_exact_only_regression():
         rep = annulus_certify(
             THREE_MANIFOLD_CORPUS[0].presentation(), (1, 1), certify_only=True
         )
-        assert rep.verdict == "pass" and rep.roots == () and rep.min_modulus is None
+        assert rep.verdict == "pass" and rep.roots == ()
         for entry in THREE_MANIFOLD_CORPUS:
             rep = annulus_certify(entry.presentation(), entry.psi, certify_only=True)
             assert rep.verdict in ("pass", "vacuous"), (entry.name, rep.verdict)
-            assert rep.roots == () and rep.min_modulus is None
+            assert rep.roots == ()

@@ -107,6 +107,18 @@ def test_half_of_t_plus_one_has_one_form():
     assert len(set(routes)) == 1
 
 
+def test_exponents_are_read_as_integers():
+    for build in (lambda: LaurentPoly({1.5: 1}), lambda: LaurentPoly({Fraction(1, 2): 3}),
+                  lambda: LaurentPoly.term(1, 2.5), lambda: T.shift(0.5)):
+        with pytest.raises(ValueError, match="expected an integer exponent"):
+            build()
+    # an integral float or Fraction is its int, so the form stays canonical
+    for e in (2.0, Fraction(2)):
+        for p in (LaurentPoly({e: 1}), LaurentPoly.term(1, e), T.shift(e - 1)):
+            assert (p.lo, p.ints, p.den) == (2, (1,), 1) and type(p.lo) is int
+            assert p == T * T and p.display() == "t^2"
+
+
 def test_zero_has_one_form():
     zeros = [LaurentPoly(), LaurentPoly({3: 0}), T - T, T.scale(0), (T - T).shift(5),
              LaurentPoly.from_coeffs([0, 0]), reciprocal(LaurentPoly.zero())]

@@ -170,7 +170,8 @@ ZERO_UNDER_SHIFT = [
     [LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.term(Fraction(1, 2), -1)],
 ]
 
-# the one-row base cases of determinant and rank, which skip the Bareiss pass
+# one-row inputs, through the same Bareiss pass: a zero 1x1, a zero row, and a
+# 1x1 whose entry has a negative exponent and a denominator
 ONE_ROW = [
     [[LaurentPoly.zero()]],
     [[LaurentPoly.zero()] * 3],

@@ -68,6 +68,22 @@ def test_parse_error_carries_position():
         pytest.fail("expected ParseError")
 
 
+@pytest.mark.parametrize("text, col", [
+    ("gens: s, s", 10),  # not the "s" inside "gens:"
+    ("gens: x, y, x", 13),  # the second x, not the first
+    ("  gens:  a ,b,  a", 17),
+    ("gens: x, 2y, y", 10),
+    ("gens: x,y,X", 11),
+    ("gens: x, ,y", 10),  # the comma that ends the empty name
+], ids=["a name inside gens:", "a repeated name", "indented", "a bad name", "an uppercase name",
+        "an empty name"])
+def test_parse_error_points_at_the_generator_name(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text + "\n")
+    assert (info.value.line, info.value.col) == (1, col)
+    assert text[col - 1:].split(",")[0].strip() in str(info.value)
+
+
 def test_parse_power_tokens():
     p = parse_presentation("gens: x, y\nrel: x^2 y^-3\n")
     assert p.relators == (Word([1, 1, -2, -2, -2]),)

@@ -144,6 +144,21 @@ def test_specialize_refuses_as_validate_epimorphism_does(monkeypatch):
         specialize_jacobian(TREFOIL, (2, 2))
 
 
+def test_a_map_to_z_is_read_as_exact_integers():
+    # a non-integer value is refused, not truncated to psi = (1, 1)
+    for psi in ((1.5, 1), (Fraction(3, 2), 1)):
+        for read in (annulus_certify, validate_epimorphism):
+            with pytest.raises(ValueError, match="expected an integer value of psi"):
+                read(TREFOIL, psi)
+    # an integral float or Fraction is its int
+    want = annulus_certify(TREFOIL, (1, 1))
+    for psi in ((1.0, 1), (Fraction(1), 1.0)):
+        assert validate_epimorphism(TREFOIL, psi) is None
+        rep = annulus_certify(TREFOIL, psi)
+        assert rep == want and all(type(x) is int for x in rep.psi)
+    assert validate_epimorphism(TREFOIL, (2.0, 2)) == "not surjective (gcd = 2)"
+
+
 def test_scan_builds_the_exponent_sums_once(monkeypatch):
     calls = []
     real = presentation_mod.exponent_sum_matrix
@@ -250,7 +265,7 @@ def test_annulus_trefoil_pass_exact():
     assert rep.exact_certified
     assert rep.cauchy_radius == 3 and rep.cauchy_radius_reciprocal == 3
     assert rep.c == 73 and rep.complexity == 6
-    assert abs(rep.min_modulus - 1) < 1e-10 and abs(rep.max_modulus - 1) < 1e-10
+    assert len(rep.roots) == 2 and all(abs(abs(z) - 1) < 1e-10 for z, _ in rep.roots)
 
 
 def test_annulus_torus_pass():
@@ -268,7 +283,7 @@ def test_annulus_free_vacuous():
 def test_annulus_certify_only_is_exact():
     rep = annulus_certify(TREFOIL, (1, 1), certify_only=True)
     assert rep.verdict == "pass"
-    assert rep.roots == () and rep.min_modulus is None
+    assert rep.roots == ()
 
 
 def test_scan_trefoil():
@@ -581,7 +596,7 @@ def test_verdict_rests_on_the_minor_bound(monkeypatch):
     verdicts = set()
     for entry in THREE_MANIFOLD_CORPUS:
         rep = annulus_certify(entry.presentation(), entry.psi, certify_only=True)
-        assert rep.roots == () and rep.min_modulus is None and not rep.exact_certified
+        assert rep.roots == () and not rep.exact_certified
         verdicts.add(rep.verdict)
     assert verdicts == {"pass", "vacuous"}
 
@@ -634,7 +649,7 @@ def test_full_and_certify_only_reports_differ_only_in_the_roots():
         full = annulus_certify(pres, entry.psi)
         exact = annulus_certify(pres, entry.psi, certify_only=True)
         differing = _differing(full, exact)
-        assert differing == (set() if full.delta.is_unit() else {"roots", "min_modulus", "max_modulus"})
+        assert differing == (set() if full.delta.is_unit() else {"roots"})
         differences.add(frozenset(differing))
     assert len(differences) == 2
 
